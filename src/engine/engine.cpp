@@ -83,16 +83,6 @@ void QueryEngine::release_batch() const {
     pending_batches_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-struct QueryEngine::BatchTicket {
-  const QueryEngine& e;
-  const bool admitted;
-  explicit BatchTicket(const QueryEngine& eng) : e(eng), admitted(eng.admit_batch()) {}
-  ~BatchTicket() {
-    if (admitted) e.release_batch();
-  }
-  explicit operator bool() const { return admitted; }
-};
-
 std::vector<AtomId> QueryEngine::classify_batch(
     const std::vector<PacketHeader>& hs) const {
   auto out = try_classify_batch(hs);

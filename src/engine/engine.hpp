@@ -260,6 +260,27 @@ class QueryEngine {
     return pending_batches_.load(std::memory_order_acquire);
   }
 
+  /// RAII admission ticket for one in-flight batch (see
+  /// Options::max_pending_batches): every batch entry point holds one while
+  /// it runs, released on every path out.  Holding one directly occupies a
+  /// slot the way a running batch does, so a test can saturate the cap
+  /// deterministically.
+  class BatchTicket {
+   public:
+    explicit BatchTicket(const QueryEngine& eng) : e_(eng), admitted_(eng.admit_batch()) {}
+    ~BatchTicket() {
+      if (admitted_) e_.release_batch();
+    }
+    BatchTicket(const BatchTicket&) = delete;
+    BatchTicket& operator=(const BatchTicket&) = delete;
+    /// False when the cap was already reached (nothing is held).
+    explicit operator bool() const { return admitted_; }
+
+   private:
+    const QueryEngine& e_;
+    const bool admitted_;
+  };
+
   /// Registers the engine's metric inventory under `prefix`: batch latency
   /// histograms, batch sizes, publish count/age, pool counters, and the
   /// underlying classifier's metrics (under `<prefix>.classifier`).
@@ -283,9 +304,6 @@ class QueryEngine {
   /// (or is the constructor).
   void persist_current_locked();
 
-  /// RAII admission ticket for one in-flight batch (see
-  /// Options::max_pending_batches).
-  struct BatchTicket;
   bool admit_batch() const;
   void release_batch() const;
 

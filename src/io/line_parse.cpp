@@ -1,15 +1,36 @@
 #include "io/line_parse.hpp"
 
 #include <charconv>
-#include <sstream>
+#include <cstring>
 
 namespace apc::io {
+
+namespace {
+
+constexpr bool is_token_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// True when some byte of `s` is >= 0x80: an OR-reduction eight bytes at a
+/// time, so the all-ASCII common case never enters the UTF-8 decoder.
+bool has_non_ascii(std::string_view s) {
+  const char* p = s.data();
+  std::size_t n = s.size();
+  std::uint64_t acc = 0;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    acc |= w;
+  }
+  for (; n > 0; ++p, --n) acc |= static_cast<unsigned char>(*p);
+  return (acc & 0x8080808080808080ull) != 0;
+}
+
+}  // namespace
 
 void parse_fail(std::size_t line, const std::string& msg) {
   throw Error(ErrorCode::kParse, "line " + std::to_string(line) + ": " + msg);
 }
 
-bool valid_utf8(const std::string& s) {
+bool valid_utf8(std::string_view s) {
   const auto* p = reinterpret_cast<const unsigned char*>(s.data());
   const std::size_t n = s.size();
   for (std::size_t i = 0; i < n;) {
@@ -45,43 +66,46 @@ bool valid_utf8(const std::string& s) {
   return true;
 }
 
-void check_line(const std::string& line, std::size_t lineno) {
+void check_line(std::string_view line, std::size_t lineno) {
   if (line.size() > kMaxLineBytes)
     parse_fail(lineno,
                "line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
-  if (!valid_utf8(line)) parse_fail(lineno, "invalid UTF-8 (binary data?)");
+  if (has_non_ascii(line) && !valid_utf8(line))
+    parse_fail(lineno, "invalid UTF-8 (binary data?)");
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::istringstream is(line);
-  std::string tok;
-  while (is >> tok) {
-    if (tok[0] == '#') break;
-    out.push_back(tok);
+void tokenize(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (;;) {
+    while (p != end && is_token_space(*p)) ++p;
+    if (p == end || *p == '#') return;
+    const char* const start = p;
+    while (p != end && !is_token_space(*p)) ++p;
+    out.emplace_back(start, static_cast<std::size_t>(p - start));
   }
-  return out;
 }
 
-std::uint32_t parse_uint(const std::string& s, std::size_t line, const char* what,
+std::uint32_t parse_uint(std::string_view s, std::size_t line, const char* what,
                          std::uint64_t max) {
   std::uint64_t v = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (s.empty() || ec != std::errc{} || ptr != s.data() + s.size())
-    parse_fail(line, std::string("bad ") + what + ": " + s);
+    parse_fail(line, std::string("bad ") + what + ": " + std::string(s));
   if (v > max)
     parse_fail(line, std::string(what) + " out of range (max " +
-                         std::to_string(max) + "): " + s);
+                         std::to_string(max) + "): " + std::string(s));
   return static_cast<std::uint32_t>(v);
 }
 
-std::uint64_t parse_hex64(const std::string& s, std::size_t line, const char* what) {
+std::uint64_t parse_hex64(std::string_view s, std::size_t line, const char* what) {
   std::uint64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(s.data(), s.data() + s.size(), v, 16);
   if (s.empty() || s.size() > 16 || ec != std::errc{} ||
       ptr != s.data() + s.size())
-    parse_fail(line, std::string("bad ") + what + ": " + s);
+    parse_fail(line, std::string("bad ") + what + ": " + std::string(s));
   return v;
 }
 

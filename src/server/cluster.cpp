@@ -1,6 +1,7 @@
 #include "server/cluster.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -29,20 +30,18 @@ struct ReplayRecord {
   RuleSpec spec;
 };
 
-ReplayRecord parse_record(const std::string& rec, std::size_t recno) {
+ReplayRecord parse_record(std::string_view rec, std::size_t recno) {
   const std::size_t sp = rec.find(' ');
-  if (sp == std::string::npos) io::parse_fail(recno, "WAL record missing sequence");
+  if (sp == std::string_view::npos) io::parse_fail(recno, "WAL record missing sequence");
   ReplayRecord out;
-  std::uint64_t seq = 0;
-  const std::string seq_tok = rec.substr(0, sp);
-  // Sequence numbers are 64-bit; parse_uint is 32-bit-bounded, so parse by
-  // hand with the same strictness (digits only, no overflow past 2^63).
+  const std::string_view seq_tok = rec.substr(0, sp);
+  // Sequence numbers are 64-bit; parse_uint is 32-bit-bounded, so parse
+  // with the same strictness here: digits only, no overflow.
   if (seq_tok.empty()) io::parse_fail(recno, "empty sequence");
-  for (const char c : seq_tok) {
-    if (c < '0' || c > '9') io::parse_fail(recno, "bad sequence '" + seq_tok + "'");
-    seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out.seq = seq;
+  const char* const seq_end = seq_tok.data() + seq_tok.size();
+  const auto [ptr, ec] = std::from_chars(seq_tok.data(), seq_end, out.seq);
+  if (ec != std::errc{} || ptr != seq_end)
+    io::parse_fail(recno, "bad sequence '" + std::string(seq_tok) + "'");
   Request req;
   if (!parse_request(rec.substr(sp + 1), recno, req) ||
       (req.kind != RequestKind::kAddRule && req.kind != RequestKind::kRemoveRule))

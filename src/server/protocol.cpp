@@ -1,6 +1,6 @@
 #include "server/protocol.hpp"
 
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -14,32 +14,22 @@ using io::parse_fail;
 using io::parse_hex64;
 using io::parse_uint;
 
-/// Fills `h` from five 64-bit wire words (bit i of the header is bit i%64
-/// of word i/64 — the exact inverse of format_classify's words() dump).
-void header_from_words(const std::array<std::uint64_t, PacketHeader::kWords>& w,
-                       PacketHeader& h) {
-  for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i)
-    for (std::uint32_t j = 0; j < 64; ++j)
-      h.set_bit(i * 64 + j, (w[i] >> j) & 1);
-}
-
 /// Parses the 5 hex header words at tokens[first..first+5).
-PacketHeader parse_header(const std::vector<std::string>& toks, std::size_t first,
+PacketHeader parse_header(const std::vector<std::string_view>& toks, std::size_t first,
                           std::size_t lineno) {
   if (toks.size() != first + PacketHeader::kWords)
     parse_fail(lineno, "expected 5 header words");
   std::array<std::uint64_t, PacketHeader::kWords> w;
   for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i)
     w[i] = parse_hex64(toks[first + i], lineno, "header word");
-  PacketHeader h;
-  header_from_words(w, h);
-  return h;
+  return PacketHeader::from_words(w);
 }
 
 /// Parses "fib <box> <prefix> <port> [prio]" at tokens[1..].
-RuleSpec parse_rule(const std::vector<std::string>& toks, std::size_t lineno) {
+RuleSpec parse_rule(const std::vector<std::string_view>& toks, std::size_t lineno) {
   if (toks.size() < 5 || toks.size() > 6) parse_fail(lineno, "expected: fib <box> <prefix> <port> [prio]");
-  if (toks[1] != "fib") parse_fail(lineno, "unknown rule table '" + toks[1] + "' (only 'fib')");
+  if (toks[1] != "fib")
+    parse_fail(lineno, "unknown rule table '" + std::string(toks[1]) + "' (only 'fib')");
   RuleSpec spec;
   spec.box = parse_uint(toks[2], lineno, "box id");
   try {
@@ -54,23 +44,27 @@ RuleSpec parse_rule(const std::vector<std::string>& toks, std::size_t lineno) {
   return spec;
 }
 
-std::string format_words(const PacketHeader& h) {
-  char buf[20];
-  std::string out;
-  for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i) {
-    std::snprintf(buf, sizeof buf, " %" PRIx64, h.words()[i]);
-    out += buf;
+/// Appends " <hex>" for each header word (lowercase, no leading zeros).
+void append_words(std::string& out, const PacketHeader& h) {
+  char buf[PacketHeader::kWords * 17];
+  char* p = buf;
+  for (const std::uint64_t w : h.words()) {
+    *p++ = ' ';
+    p = std::to_chars(p, buf + sizeof buf, w, 16).ptr;
   }
-  return out;
+  out.append(buf, p);
 }
 
 }  // namespace
 
-bool parse_request(const std::string& line, std::size_t lineno, Request& out) {
+bool parse_request(std::string_view line, std::size_t lineno, Request& out) {
   io::check_line(line, lineno);
-  const std::vector<std::string> toks = io::tokenize(line);
+  // One token vector per thread, reused across lines: after the first
+  // line a request is split and decoded without touching the heap.
+  thread_local std::vector<std::string_view> toks;
+  io::tokenize(line, toks);
   if (toks.empty()) return false;  // blank / comment-only: nothing to do
-  const std::string& op = toks[0];
+  const std::string_view op = toks[0];
   if (op == "C") {
     out.kind = RequestKind::kClassify;
     out.header = parse_header(toks, 1, lineno);
@@ -92,15 +86,21 @@ bool parse_request(const std::string& line, std::size_t lineno, Request& out) {
     if (toks.size() != 1) parse_fail(lineno, "EPOCH takes no arguments");
     out.kind = RequestKind::kEpoch;
   } else {
-    parse_fail(lineno, "unknown directive '" + op + "'");
+    parse_fail(lineno, "unknown directive '" + std::string(op) + "'");
   }
   return true;
 }
 
-std::string format_classify(const PacketHeader& h) { return "C" + format_words(h); }
+std::string format_classify(const PacketHeader& h) {
+  std::string out = "C";
+  append_words(out, h);
+  return out;
+}
 
 std::string format_query(BoxId ingress, const PacketHeader& h) {
-  return "Q " + std::to_string(ingress) + format_words(h);
+  std::string out = "Q " + std::to_string(ingress);
+  append_words(out, h);
+  return out;
 }
 
 std::string format_rule(bool add, const RuleSpec& spec) {
@@ -118,14 +118,6 @@ std::string format_rule(bool add, const RuleSpec& spec) {
 }
 
 std::string format_behavior_summary(const Behavior& b) {
-  std::string out = "B ";
-  out += std::to_string(b.edges.size());
-  out += ' ';
-  out += std::to_string(b.deliveries.size());
-  out += ' ';
-  out += std::to_string(b.drops.size());
-  out += ' ';
-  out += b.loop_detected ? '1' : '0';
   // Stable content digest so two clients comparing answer lines detect a
   // *different* behavior, not just a different shape: fold every hop and
   // delivery into one 64-bit FNV-1a value.
@@ -147,10 +139,24 @@ std::string format_behavior_summary(const Behavior& b) {
     mix(d.box);
     mix(static_cast<std::uint64_t>(d.reason));
   }
-  char buf[20];
-  std::snprintf(buf, sizeof buf, " %" PRIx64, x);
-  out += buf;
-  return out;
+  // "B <edges> <deliveries> <drops> <loop> <digest>": at most 83 bytes.
+  char buf[96];
+  char* p = buf;
+  const auto put = [&](std::uint64_t v, int base) {
+    p = std::to_chars(p, buf + sizeof buf, v, base).ptr;
+  };
+  *p++ = 'B';
+  *p++ = ' ';
+  put(b.edges.size(), 10);
+  *p++ = ' ';
+  put(b.deliveries.size(), 10);
+  *p++ = ' ';
+  put(b.drops.size(), 10);
+  *p++ = ' ';
+  *p++ = b.loop_detected ? '1' : '0';
+  *p++ = ' ';
+  put(x, 16);
+  return std::string(buf, p);
 }
 
 std::string format_stat_value(double v) {

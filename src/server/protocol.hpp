@@ -32,11 +32,14 @@
 //
 // Parsing reuses the hardened io/line_parse helpers: 64 KiB line cap,
 // structural UTF-8 validation, bounded integer parses with typed
-// apc::Error(kParse) failures.
+// apc::Error(kParse) failures.  The line is scanned in place (the server
+// passes a view into its recv buffer) into a reused token vector, so a
+// well-formed line is decoded without allocating.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "classifier/behavior.hpp"
 #include "packet/header.hpp"
@@ -72,7 +75,7 @@ struct Request {
 /// Parses one protocol line (without its terminator).  Blank and
 /// comment-only lines have no request — callers skip them (returns false).
 /// Malformed input throws apc::Error(kParse) with `lineno` in the message.
-bool parse_request(const std::string& line, std::size_t lineno, Request& out);
+bool parse_request(std::string_view line, std::size_t lineno, Request& out);
 
 /// Round-trip formatting (tests and the bench client build lines with
 /// these; answers embed format_behavior_summary).

@@ -181,7 +181,7 @@ void TcpServer::accept_loop() {
   }
 }
 
-bool TcpServer::send_all(int fd, const std::string& data) {
+bool TcpServer::send_all(int fd, std::string_view data) {
   const bool deadline_on = opts_.write_timeout_ms > 0;
   const auto deadline =
       steady_clock::now() + milliseconds(deadline_on ? opts_.write_timeout_ms : 0);
@@ -216,8 +216,9 @@ bool TcpServer::send_all(int fd, const std::string& data) {
   return true;
 }
 
-bool TcpServer::handle_line(int fd, const std::string& line, std::size_t lineno,
-                            std::vector<ShardedCluster::BatchItem>& batch) {
+bool TcpServer::handle_line(int fd, std::string_view line, std::size_t lineno,
+                            ConnectionState& conn) {
+  std::vector<ShardedCluster::BatchItem>& batch = conn.batch;
   Request req;
   try {
     if (!parse_request(line, lineno, req)) return true;  // blank/comment
@@ -240,19 +241,25 @@ bool TcpServer::handle_line(int fd, const std::string& line, std::size_t lineno,
         return true;  // buffered silently; the 201 covers the whole batch
       }
       case RequestKind::kGo: {
-        std::vector<ShardedCluster::BatchItem> items;
-        items.swap(batch);  // the batch is consumed even when shedding
+        // The batch is consumed even when shedding; clear() keeps its
+        // capacity for the next one.
         active_batches_.fetch_add(1, std::memory_order_acq_rel);
         ShardedCluster::BatchResult res;
         try {
-          res = cluster_.run_batch(items);
+          res = cluster_.run_batch(batch);
         } catch (...) {
           active_batches_.fetch_sub(1, std::memory_order_acq_rel);
+          batch.clear();
           throw;
         }
         active_batches_.fetch_sub(1, std::memory_order_acq_rel);
-        std::string reply = "201 " + std::to_string(res.epoch) + ' ' +
-                            std::to_string(res.lines.size());
+        batch.clear();
+        std::string& reply = conn.reply;
+        reply.clear();
+        reply += "201 ";
+        reply += std::to_string(res.epoch);
+        reply += ' ';
+        reply += std::to_string(res.lines.size());
         if (res.degraded) reply += " degraded=1";
         reply += '\n';
         for (const std::string& l : res.lines) {
@@ -304,36 +311,48 @@ bool TcpServer::handle_line(int fd, const std::string& line, std::size_t lineno,
 }
 
 void TcpServer::serve_connection(int fd) {
-  std::vector<ShardedCluster::BatchItem> batch;
-  std::string buffer;
+  // Lines are parsed in place: buffer[head, tail) holds the received bytes
+  // not yet consumed, and handle_line gets views into it.  The storage is
+  // sized once to hold a maximal partial line plus one read, so recv writes
+  // straight into it and only an unterminated tail is ever moved.
+  static constexpr std::size_t kReadBytes = 16 * 1024;
+  std::string buffer(io::kMaxLineBytes + kReadBytes, '\0');
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  ConnectionState conn;
+  conn.reply.reserve(kReadBytes);
   std::size_t lineno = 0;
-  char chunk[4096];
   auto last_rx = steady_clock::now();
   for (;;) {
     // Split out complete lines first so a flood of pipelined directives is
     // served without waiting for more input.
-    std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = buffer.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = nl + 1;
+      const char* const base = buffer.data();
+      const void* nl = std::memchr(base + head, '\n', tail - head);
+      if (nl == nullptr) break;
+      const std::size_t end = static_cast<std::size_t>(static_cast<const char*>(nl) - base);
+      std::string_view line(base + head, end - head);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      head = end + 1;
       ++lineno;
-      if (!handle_line(fd, line, lineno, batch)) {
+      if (!handle_line(fd, line, lineno, conn)) {
         ::shutdown(fd, SHUT_RDWR);
         return;
       }
     }
-    buffer.erase(0, start);
     // The partial-line cap applies to the UNTERMINATED tail too: a client
     // streaming an endless line must not grow the buffer unboundedly, and
     // there is no clean place to resynchronize once the cap is blown.
-    if (buffer.size() > io::kMaxLineBytes) {
+    if (tail - head > io::kMaxLineBytes) {
       send_all(fd, "400 line exceeds " + std::to_string(io::kMaxLineBytes) +
                        " byte cap\n");
       ::shutdown(fd, SHUT_RDWR);
       return;
+    }
+    if (head > 0) {  // move the partial line (if any) to the front
+      std::memmove(buffer.data(), buffer.data() + head, tail - head);
+      tail -= head;
+      head = 0;
     }
     // Wait for input in <=100 ms poll ticks, enforcing the read-idle
     // deadline (time since the last byte ARRIVED — a trickling client
@@ -367,7 +386,7 @@ void TcpServer::serve_connection(int fd) {
       }
       if (r > 0) break;  // readable or HUP; recv below resolves which
     }
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    const ssize_t n = ::recv(fd, buffer.data() + tail, buffer.size() - tail, 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       // Orderly or abrupt close: whatever the client batched but never
@@ -376,7 +395,7 @@ void TcpServer::serve_connection(int fd) {
       return;
     }
     last_rx = steady_clock::now();
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    tail += static_cast<std::size_t>(n);
   }
 }
 

@@ -35,7 +35,9 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "server/cluster.hpp"
 
@@ -120,14 +122,23 @@ class TcpServer {
   void accept_loop();
   /// Joins and erases finished sessions; called with sessions_mu_ held.
   void reap_sessions_locked();
+  /// What one connection keeps across lines: the pending C/Q batch and the
+  /// buffer every 201 reply is built in.  Both keep their capacity from
+  /// batch to batch, so steady-state serving does not allocate for them.
+  struct ConnectionState {
+    std::vector<ShardedCluster::BatchItem> batch;
+    std::string reply;
+  };
+
   void serve_connection(int fd);
-  /// Handles one complete line; returns false when the connection must
-  /// close (oversized line).
-  bool handle_line(int fd, const std::string& line, std::size_t lineno,
-                   std::vector<ShardedCluster::BatchItem>& batch);
+  /// Handles one complete line (a view into the connection's recv
+  /// buffer, terminator stripped); returns false when the connection must
+  /// close (peer dead or write deadline hit).
+  bool handle_line(int fd, std::string_view line, std::size_t lineno,
+                   ConnectionState& conn);
   /// Writes the whole reply under the write deadline; false = peer dead or
   /// deadline hit (the counter is ticked inside).
-  bool send_all(int fd, const std::string& data);
+  bool send_all(int fd, std::string_view data);
 
   ShardedCluster& cluster_;
   Options opts_;

@@ -4,7 +4,7 @@
 // with a caller-visible rejection instead of queueing without bound.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -96,26 +96,32 @@ TEST_F(AdmissionFixture, CapRejectsConcurrentOverload) {
   opts.max_pending_batches = 1;
   engine::QueryEngine eng(clf_, opts);
 
-  // Occupy the single admission slot with a big batch on another thread,
-  // then hammer try_classify_batch until a rejection is observed.
-  std::atomic<bool> go{false};
-  std::thread big([&] {
-    go.store(true);
-    for (int i = 0; i < 50; ++i) (void)eng.try_classify_batch(probes_);
+  // Another thread takes the single admission slot, as an in-flight batch
+  // does, and parks on a latch until the rejections have been observed:
+  // the overload is a state the test holds, not a race it hopes to win.
+  std::latch held(1);
+  std::latch release(1);
+  std::thread holder([&] {
+    const engine::QueryEngine::BatchTicket ticket(eng);
+    EXPECT_TRUE(ticket);
+    held.count_down();
+    release.wait();
   });
-  while (!go.load()) std::this_thread::yield();
+  held.wait();
+  EXPECT_EQ(eng.pending_batches(), 1u);
+  EXPECT_FALSE(eng.try_classify_batch(probes_).has_value());
+  EXPECT_FALSE(eng.try_query_batch(probes_, 0).has_value());
+  EXPECT_EQ(eng.batches_rejected().value(), 2u);
+  EXPECT_EQ(eng.pending_batches(), 1u);  // a rejection holds no slot
+  release.count_down();
+  holder.join();
 
-  bool rejected = false;
-  for (int i = 0; i < 100000 && !rejected; ++i)
-    rejected = !eng.try_classify_batch(probes_).has_value();
-  big.join();
-  EXPECT_TRUE(rejected);
-  EXPECT_GE(eng.batches_rejected().value(), 1u);
   // The slot drains: once the load stops, admission works again.
   const auto out = eng.try_classify_batch(probes_);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->size(), probes_.size());
   EXPECT_EQ(eng.pending_batches(), 0u);
+  EXPECT_EQ(eng.batches_rejected().value(), 2u);
 }
 
 TEST_F(AdmissionFixture, ThrowingVariantsSignalUnavailable) {
@@ -124,27 +130,34 @@ TEST_F(AdmissionFixture, ThrowingVariantsSignalUnavailable) {
   opts.max_pending_batches = 1;
   engine::QueryEngine eng(clf_, opts);
 
-  std::atomic<bool> stop{false};
-  std::atomic<bool> saw_unavailable{false};
-  std::thread big([&] {
-    while (!stop.load()) (void)eng.try_classify_batch(probes_);
-  });
-  for (int i = 0; i < 100000 && !saw_unavailable.load(); ++i) {
-    try {
-      (void)eng.classify_batch(probes_);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kUnavailable);
-      saw_unavailable.store(true);
+  {
+    const engine::QueryEngine::BatchTicket ticket(eng);  // the cap is reached
+    ASSERT_TRUE(ticket);
+    for (const bool query : {false, true}) {
+      try {
+        if (query)
+          (void)eng.query_batch(probes_, 0);
+        else
+          (void)eng.classify_batch(probes_);
+        ADD_FAILURE() << (query ? "query_batch" : "classify_batch")
+                      << " ran past a full admission cap";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kUnavailable);
+      }
     }
+    // A second ticket is refused too and holds nothing.
+    const engine::QueryEngine::BatchTicket second(eng);
+    EXPECT_FALSE(second);
+    EXPECT_EQ(eng.pending_batches(), 1u);
   }
-  stop.store(true);
-  big.join();
-  EXPECT_TRUE(saw_unavailable.load());
+  EXPECT_EQ(eng.pending_batches(), 0u);
+  EXPECT_EQ(eng.classify_batch(probes_).size(), probes_.size());
 
   // Metrics expose the shedding.
   const obs::MetricsSnapshot stats = eng.stats();
   EXPECT_NE(stats.find("engine.batches_rejected"), nullptr);
   EXPECT_NE(stats.find("engine.pending_batches"), nullptr);
+  EXPECT_EQ(eng.batches_rejected().value(), 3u);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Tests for the packet header model and IPv4 helpers.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "packet/header.hpp"
 #include "packet/ipv4.hpp"
 #include "util/rng.hpp"
@@ -139,6 +142,38 @@ TEST(PacketHeader, Word32ViewRoundTrip) {
     for (std::uint32_t j = 0; j < 32; ++j)
       back.set_bit(32 * w + j, (words[w] >> j) & 1u);
   EXPECT_EQ(back, h);
+}
+
+TEST(PacketHeader, FromWordsMatchesBitwiseConstruction) {
+  // from_words must equal setting all 320 bits one by one from the words
+  // (the wire decoder's former construction), including the bits past the
+  // 104-bit five-tuple and all-ones / all-zero words.
+  Rng rng(17);
+  std::vector<std::array<std::uint64_t, PacketHeader::kWords>> cases;
+  cases.push_back({});
+  cases.push_back({~0ull, ~0ull, ~0ull, ~0ull, ~0ull});
+  cases.push_back({0, 0, ~0ull << 40, ~0ull, 1ull << 63});  // bits >= 104 only
+  for (int i = 0; i < 200; ++i) {
+    std::array<std::uint64_t, PacketHeader::kWords> w;
+    for (auto& x : w) x = rng.next();
+    if (i % 4 == 0) w[rng.uniform(PacketHeader::kWords)] = ~0ull;
+    cases.push_back(w);
+  }
+  for (const auto& w : cases) {
+    PacketHeader bitwise;
+    for (std::uint32_t i = 0; i < PacketHeader::kWords; ++i)
+      for (std::uint32_t j = 0; j < 64; ++j) bitwise.set_bit(i * 64 + j, (w[i] >> j) & 1);
+    const PacketHeader h = PacketHeader::from_words(w);
+    EXPECT_EQ(h, bitwise);
+    EXPECT_EQ(h.words(), w);
+    EXPECT_EQ(h.words(), bitwise.words());
+    EXPECT_EQ(h.words32(), bitwise.words32());
+    for (std::uint32_t k = 0; k < PacketHeader::kWords32; ++k)
+      EXPECT_EQ(h.word32(k), static_cast<std::uint32_t>(w[k / 2] >> (32 * (k % 2))));
+    PacketHeader other = h;
+    other.set_bit(PacketHeader::kMaxBits - 1, !h.bit(PacketHeader::kMaxBits - 1));
+    EXPECT_FALSE(other == h);
+  }
 }
 
 TEST(PacketHeader, OutOfRangeThrows) {

@@ -128,6 +128,106 @@ TEST(ServerProtocol, OversizedAndBinaryLinesAreRejected) {
   expect_parse_error(binary, "UTF-8");
 }
 
+// Byte-exact 400 corpus: the full what() text every line produces, recorded
+// from the original istringstream-based parser.  "OK" = parsed into a
+// request, "SKIP" = blank/comment (no request).  what() is a C string, so
+// a message quoting a NUL byte ends at it.
+struct CorpusEntry {
+  std::string line;
+  std::string outcome;
+};
+
+std::string corpus_outcome(const std::string& line) {
+  Request req;
+  try {
+    return parse_request(line, 9, req) ? "OK" : "SKIP";
+  } catch (const Error& e) {
+    if (e.code() != ErrorCode::kParse) return std::string("NOT kParse: ") + e.what();
+    return e.what();
+  }
+}
+
+TEST(ProtocolCorpus, ErrorTextIsByteExact) {
+  using namespace std::string_literals;
+  const std::string kBad = "[parse] line 9: ";
+  const std::vector<CorpusEntry> corpus = {
+      // Malformed header words.
+      {"C 1 2 3 4", kBad + "expected 5 header words"},
+      {"C 1 2 3 4 5 6", kBad + "expected 5 header words"},
+      {"C 1 2 3 4 zz", kBad + "bad header word: zz"},
+      {"C 1 2 3 4 12345678901234567", kBad + "bad header word: 12345678901234567"},
+      {"C 00000000000000001 2 3 4 5", kBad + "bad header word: 00000000000000001"},
+      {"C 0x1 2 3 4 5", kBad + "bad header word: 0x1"},
+      {"C +1 2 3 4 5", kBad + "bad header word: +1"},
+      {"C -1 2 3 4 5", kBad + "bad header word: -1"},
+      {"C 1 2 3 4 ABCDEF", "OK"},  // from_chars takes either hex case
+      {"C ffffffffffffffff 0 0 0 FFFFFFFFFFFFFFFF", "OK"},
+      // Queries: missing / empty / bad ingress.
+      {"Q", kBad + "Q needs an ingress box id"},
+      {"Q\t", kBad + "Q needs an ingress box id"},
+      {"Q 1 2 3 4 5", kBad + "expected 5 header words"},
+      {"Q x 1 2 3 4 5", kBad + "bad ingress box id: x"},
+      {"Q notanumber 1 2 3 4 5", kBad + "bad ingress box id: notanumber"},
+      {"Q 1 1 2 3 4", kBad + "expected 5 header words"},
+      {"Q 4294967296 1 2 3 4 5",
+       kBad + "ingress box id out of range (max 4294967295): 4294967296"},
+      // Rule updates.
+      {"A acl 1 10.0.0.0/24 2", kBad + "unknown rule table 'acl' (only 'fib')"},
+      {"A fib 1 10.0.0.0/33 2", kBad + "bad prefix: parse_prefix: bad length"},
+      {"A fib 1 10.0.0.0/24", kBad + "expected: fib <box> <prefix> <port> [prio]"},
+      {"A fib 1 10.0.0.0/24 2 3 4", kBad + "expected: fib <box> <prefix> <port> [prio]"},
+      {"A fib x 10.0.0.0/24 2", kBad + "bad box id: x"},
+      {"A fib 1 10.0.0.0/24 -2", kBad + "bad egress port: -2"},
+      {"A fib 1 10.0.0.0/24 2 2147483648",
+       kBad + "priority out of range (max 2147483647): 2147483648"},
+      {"A fib 1 10.0.0.0/24 2 +3", kBad + "bad priority: +3"},
+      {"R fib 4294967296 10.0.0.0/24 2",
+       kBad + "box id out of range (max 4294967295): 4294967296"},
+      {"R fib 99999999999 10.0.0.0/24 2",
+       kBad + "box id out of range (max 4294967295): 99999999999"},
+      {"R fib 99999999999999999999999 10.0.0.0/24 2",
+       kBad + "bad box id: 99999999999999999999999"},
+      {"R fib 4294967295 10.0.0.0/24 2 2147483647", "OK"},
+      // Whitespace is istream's set: space, \t, \n, \v, \f, \r.
+      {"C\t1\t2\t3\t4\t5", "OK"},
+      {"C\v1\f2\r3 4 5", "OK"},
+      {"STATS\vx", kBad + "STATS takes no arguments"},
+      {"GO\fnow", kBad + "GO takes no arguments"},
+      {"C 1 2 3 4 5\r", "OK"},
+      {"STATS\r", "OK"},
+      {"GO\r\n", "OK"},
+      // '#' ends the line only at the start of a token.
+      {"GO\t# trailing", "OK"},
+      {"GO #", "OK"},
+      {"C 1 2 3 # 4 5", kBad + "expected 5 header words"},
+      {"C 1 2 3 4 5#x", kBad + "bad header word: 5#x"},
+      {"#GO", "SKIP"},
+      {"  # only a comment", "SKIP"},
+      {"# a comment", "SKIP"},
+      {"", "SKIP"},
+      {"   ", "SKIP"},
+      {"   \t ", "SKIP"},
+      // Control directives and unknown verbs.
+      {"STATS x", kBad + "STATS takes no arguments"},
+      {"STATS verbose", kBad + "STATS takes no arguments"},
+      {"GO now", kBad + "GO takes no arguments"},
+      {"EPOCH 1", kBad + "EPOCH takes no arguments"},
+      {"FROB 1 2 3", kBad + "unknown directive 'FROB'"},
+      {"c 1 2 3 4 5", kBad + "unknown directive 'c'"},
+      // Bytes: valid UTF-8 reaches the token check, invalid stops first.
+      {"C 1 2 3 4 \xC3\xA9", kBad + "bad header word: \xC3\xA9"},
+      {"C 1 2 3 4 \xC0\x80", kBad + "invalid UTF-8 (binary data?)"},
+      {"C 1 2 3 4 5\xFF", kBad + "invalid UTF-8 (binary data?)"},
+      {"\xFF", kBad + "invalid UTF-8 (binary data?)"},
+      {"GO\0"s, kBad + "unknown directive 'GO"},
+      {"C 1 2 3 4\0 5"s, kBad + "bad header word: 4"},
+      {std::string(io::kMaxLineBytes + 1, 'C'), kBad + "line exceeds 65536 bytes"},
+  };
+  ASSERT_GE(corpus.size(), 25u);
+  for (const CorpusEntry& c : corpus)
+    EXPECT_EQ(corpus_outcome(c.line), c.outcome) << "line: " << c.line.substr(0, 80);
+}
+
 TEST(ServerProtocol, BehaviorSummaryDistinguishesContent) {
   Behavior a;
   a.edges.push_back({0, 1, BoxId{2}});
@@ -514,6 +614,26 @@ TEST(TcpServer, MalformedLineKeepsConnectionAndBatch) {
   client.send("GO\n");
   EXPECT_EQ(client.read_line(), "201 0 1");
   EXPECT_EQ(client.read_line(), "A " + std::to_string(w.reference.classify(h)));
+}
+
+TEST(TcpServer, ParseErrorMidBatchKeepsBatchAndLineNumbers) {
+  ServerWorld w;
+  LineClient client(w.server.port());
+  ASSERT_TRUE(client.ok());
+  const PacketHeader& a = w.trace[0];
+  const PacketHeader& b = w.trace[1];
+  // Lines: 1 C (CRLF), 2 blank, 3 blank (CRLF), 4 comment, 5 bad,
+  // 6 Q (CRLF), 7 bad, 8 GO.  Blank, comment and CRLF lines all count.
+  client.send(format_classify(a) + "\r\n\n\r\n# note\nC 1 2 3\n" +
+              format_query(1, b) + "\r\nGO now\r\nGO\n");
+  EXPECT_EQ(client.read_line(), "400 [parse] line 5: expected 5 header words");
+  EXPECT_EQ(client.read_line(), "400 [parse] line 7: GO takes no arguments");
+  EXPECT_EQ(client.read_line(), "201 0 2");
+  EXPECT_EQ(client.read_line(), "A " + std::to_string(w.reference.classify(a)));
+  EXPECT_EQ(client.read_line(), format_behavior_summary(w.reference.query(b, 1)));
+  // The count runs on across batches on the same connection.
+  client.send("EPOCH x\n");
+  EXPECT_EQ(client.read_line(), "400 [parse] line 9: EPOCH takes no arguments");
 }
 
 TEST(TcpServer, OversizedLineGets400AndClose) {
