@@ -664,32 +664,39 @@ std::vector<std::uint32_t> flatten(const std::vector<Bdd>& roots,
     mgr = r.manager();
   }
 
+  if (mgr == nullptr) return {};
+
   // Discover every reachable node once, assigning dense ids on first visit;
-  // terminals keep ids 0/1.
-  std::unordered_map<NodeRef, std::uint32_t> dense;
-  dense.emplace(kFalse, kFalse);
-  dense.emplace(kTrue, kTrue);
+  // terminals keep ids 0/1.  `dense` is indexed by NodeRef (kUnseen until
+  // discovered).  A node is emitted with its children still as NodeRefs,
+  // and one sequential pass patches them to dense ids afterwards, so the
+  // manager's pool is read once per node and nothing is hashed.
+  constexpr std::uint32_t kUnseen = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> dense(mgr->node_slot_count(), kUnseen);
+  dense[kFalse] = kFalse;
+  dense[kTrue] = kTrue;
+  const std::size_t base = out_nodes.size();
   std::vector<NodeRef> stack;
   for (const Bdd& r : roots) stack.push_back(r.ref());
   while (!stack.empty()) {
     const NodeRef r = stack.back();
     stack.pop_back();
-    if (dense.count(r)) continue;
-    dense.emplace(r, static_cast<std::uint32_t>(out_nodes.size()));
-    out_nodes.push_back({mgr->node_var(r), 0, 0});  // children patched below
-    stack.push_back(mgr->node_low(r));
-    stack.push_back(mgr->node_high(r));
+    if (dense[r] != kUnseen) continue;
+    dense[r] = static_cast<std::uint32_t>(out_nodes.size());
+    const NodeRef lo = mgr->node_low(r);
+    const NodeRef hi = mgr->node_high(r);
+    out_nodes.push_back({mgr->node_var(r), lo, hi});
+    stack.push_back(lo);
+    stack.push_back(hi);
   }
-  // Patch children now that every reachable node has a dense id.
-  for (const auto& [ref, id] : dense) {
-    if (ref <= kTrue) continue;
-    out_nodes[id].lo = dense.at(mgr->node_low(ref));
-    out_nodes[id].hi = dense.at(mgr->node_high(ref));
+  for (std::size_t i = base; i < out_nodes.size(); ++i) {
+    out_nodes[i].lo = dense[out_nodes[i].lo];
+    out_nodes[i].hi = dense[out_nodes[i].hi];
   }
 
   std::vector<std::uint32_t> out;
   out.reserve(roots.size());
-  for (const Bdd& r : roots) out.push_back(dense.at(r.ref()));
+  for (const Bdd& r : roots) out.push_back(dense[r.ref()]);
   return out;
 }
 

@@ -176,6 +176,9 @@ class BddManager {
   std::uint32_t node_var(NodeRef r) const { return nodes_[r].var; }
   NodeRef node_low(NodeRef r) const { return nodes_[r].low; }
   NodeRef node_high(NodeRef r) const { return nodes_[r].high; }
+  /// Pool slots ever allocated (live, garbage and free): every valid
+  /// NodeRef is below this, so it sizes NodeRef-indexed side arrays.
+  std::size_t node_slot_count() const { return nodes_.size(); }
 
   template <typename BitFn>
   bool eval_ref(NodeRef r, BitFn&& bit) const {

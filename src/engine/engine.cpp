@@ -171,6 +171,7 @@ void QueryEngine::drain_visits_locked() {
 }
 
 void QueryEngine::republish_locked() {
+  obs::ScopedTimer timer(publish_hist_);
   // Consume the classifier's accumulated atom delta (always — even when the
   // policy rejects the delta path, the next delta must start from THIS
   // publish, not an earlier one).
@@ -230,6 +231,7 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.register_histogram(prefix + ".classify_batch_seconds", &classify_batch_hist_);
   reg.register_histogram(prefix + ".query_batch_seconds", &query_batch_hist_);
   reg.register_histogram(prefix + ".batch_size", &batch_size_hist_, "count", 1.0);
+  reg.register_histogram(prefix + ".publish_seconds", &publish_hist_);
   reg.register_counter(prefix + ".queries_answered", &queries_answered_);
   reg.register_fn(prefix + ".publish_count",
                   [this] { return static_cast<double>(publish_count()); }, "count");
@@ -288,6 +290,9 @@ void QueryEngine::register_metrics(obs::MetricsRegistry& reg,
   reg.register_fn(prefix + ".snapshot.program_bytes",
                   [this] { return static_cast<double>(snapshot()->program_bytes()); },
                   "bytes");
+  reg.register_fn(prefix + ".snapshot.freeze_us", [this] {
+    return snapshot()->freeze_seconds() * 1e6;
+  }, "us");
   reg.register_fn(prefix + ".snapshot.program_compile_us", [this] {
     return snapshot()->program_compile_seconds() * 1e6;
   }, "us");

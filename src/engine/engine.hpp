@@ -372,6 +372,7 @@ class QueryEngine {
   mutable obs::LatencyHistogram classify_batch_hist_;  // ns per batch
   mutable obs::LatencyHistogram query_batch_hist_;     // ns per batch
   mutable obs::LatencyHistogram batch_size_hist_;      // headers per batch
+  obs::LatencyHistogram publish_hist_;                 // ns per republish
   mutable obs::Counter queries_answered_;
   std::atomic<std::int64_t> last_publish_ns_{0};  // steady_clock epoch ns
 

@@ -1,8 +1,6 @@
 #include "engine/program.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
 
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
@@ -18,51 +16,53 @@ std::uint32_t pack_jump(std::uint32_t jump, std::uint32_t word) {
          (word << MatchProgram::kWordShift);
 }
 
-}  // namespace
+/// Pass 1 of the compiler: lowers the BDD under one tree node at a time
+/// into `code_`, continuations before consumers.  The memo (BDD index ->
+/// emitted pc) is only valid while the two terminal continuations are
+/// fixed, i.e. within one tree node; instead of clearing it per tree node,
+/// each entry carries the stamp of the tree node that wrote it, and a new
+/// tree node bumps the stamp.  The memo is indexed by flat BDD node, so a
+/// probe is one load.
+class Lowerer {
+ public:
+  Lowerer(const bdd::FlatBddNode* bdd, std::size_t bdd_count, std::size_t cap)
+      : bdd_(bdd), memo_(bdd_count), cap_(cap) {}
 
-std::shared_ptr<const MatchProgram> MatchProgram::compile(
-    const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
-    const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
-    std::size_t max_bytes) {
-  if (tree_count == 0 || root < 0) return nullptr;
-  const std::size_t cap =
-      max_bytes == 0 ? kMaxInstructions
-                     : std::min(kMaxInstructions, max_bytes / sizeof(MatchInsn));
-  Stopwatch sw;
+  /// Lowers the BDD rooted at `root` for a tree node whose true/false
+  /// branches continue at the given jumps; returns the node's entry jump.
+  std::uint32_t lower(std::uint32_t root, std::uint32_t true_cont,
+                      std::uint32_t false_cont) {
+    ++epoch_;
+    true_cont_ = true_cont;
+    false_cont_ = false_cont;
+    return jump_to(root);
+  }
 
-  // Pass 1 — lower, tree nodes in reverse DFS order.  A node's true branch
-  // continues at tree[idx + 1] and its false branch at tree[idx].right, and
-  // both sit strictly after idx in DFS preorder, so walking idx backwards
-  // guarantees every continuation's entry jump is already known.  Leaves
-  // need no instruction at all: their entry IS a leaf-encoded jump.
-  std::vector<MatchInsn> code;
-  code.reserve(tree_count + bdd_count);
-  std::vector<std::uint32_t> entry(tree_count, kLeafBit);
-  // Per-tree-node memo: BDD ref -> emitted pc.  Valid only while the two
-  // terminal continuations are fixed, i.e. within one tree node.
-  std::unordered_map<std::uint32_t, std::uint32_t> memo;
-  bool overflow = false;
+  bool overflow() const { return overflow_; }
+  std::vector<MatchInsn> take_code() { return std::move(code_); }
 
-  std::uint32_t true_cont = 0, false_cont = 0;
-  const bdd::FlatBddNode* bdd = bdd_nodes;
+ private:
+  // The entry jump of the BDD rooted at `r`: a continuation when `r` is a
+  // terminal, the memoized pc when this tree node already emitted `r`.
+  std::uint32_t jump_to(std::uint32_t r) {
+    if (r == bdd::kFalse) return false_cont_;
+    if (r == bdd::kTrue) return true_cont_;
+    if (memo_[r].stamp == epoch_) return memo_[r].pc;
+    return emit(r);
+  }
 
-  // Emits the program for the BDD rooted at `r`, returning its entry jump
-  // (pc, or a leaf/continuation jump when `r` folds away).  Recursion depth
-  // is bounded by the BDD's variable count (ROBDD paths are strictly
-  // variable-increasing), not its node count.
-  const std::function<std::uint32_t(std::uint32_t)> emit =
-      [&](std::uint32_t r) -> std::uint32_t {
-    if (overflow) return 0;
-    if (r == bdd::kFalse) return false_cont;
-    if (r == bdd::kTrue) return true_cont;
-    if (const auto it = memo.find(r); it != memo.end()) return it->second;
+  // Emits the program for the BDD rooted at `r` and returns its pc.
+  // Recursion depth is bounded by the BDD's variable count (ROBDD paths are
+  // strictly variable-increasing), not its node count.
+  std::uint32_t emit(std::uint32_t r) {
+    if (overflow_) return 0;
 
     // Coalesce the maximal Click-style chain starting at r: consecutive
     // bit-tests on the same 32-bit header word whose fail edges all reach
     // the same continuation collapse into one mask-and-compare.  Each node
     // contributes its bit to the mask; the bit's required value is 1 when
     // the chain continues through the hi edge and 0 through the lo edge.
-    const std::uint32_t word = bdd[r].var >> 5;
+    const std::uint32_t word = bdd_[r].var >> 5;
     std::uint32_t mask = 0, value = 0;
     std::uint32_t cur = r;
     bool pass_hi;
@@ -70,10 +70,10 @@ std::shared_ptr<const MatchProgram> MatchProgram::compile(
     {
       // First link: either edge may be the fail side.  Prefer the choice
       // that lets the chain extend; default to hi-pass (positive literal).
-      const bdd::FlatBddNode& n = bdd[cur];
+      const bdd::FlatBddNode& n = bdd_[cur];
       const auto extends = [&](std::uint32_t pass, std::uint32_t fail) {
-        return pass > bdd::kTrue && (bdd[pass].var >> 5) == word &&
-               (bdd[pass].lo == fail || bdd[pass].hi == fail);
+        return pass > bdd::kTrue && (bdd_[pass].var >> 5) == word &&
+               (bdd_[pass].lo == fail || bdd_[pass].hi == fail);
       };
       if (extends(n.hi, n.lo)) {
         pass_hi = true;
@@ -88,13 +88,13 @@ std::shared_ptr<const MatchProgram> MatchProgram::compile(
     }
     std::uint32_t pass_ref;
     while (true) {
-      const bdd::FlatBddNode& n = bdd[cur];
+      const bdd::FlatBddNode& n = bdd_[cur];
       const std::uint32_t bit = 1u << (n.var & 31u);
       mask |= bit;
       if (pass_hi) value |= bit;
       pass_ref = pass_hi ? n.hi : n.lo;
       if (pass_ref <= bdd::kTrue) break;
-      const bdd::FlatBddNode& nx = bdd[pass_ref];
+      const bdd::FlatBddNode& nx = bdd_[pass_ref];
       if ((nx.var >> 5) != word) break;
       if (nx.lo == fail_ref) {
         cur = pass_ref;
@@ -107,20 +107,65 @@ std::shared_ptr<const MatchProgram> MatchProgram::compile(
       }
     }
 
-    const std::uint32_t on_match = emit(pass_ref);
-    const std::uint32_t on_fail = emit(fail_ref);
-    if (overflow) return 0;
-    if (code.size() >= cap) {
-      overflow = true;
+    const std::uint32_t on_match = jump_to(pass_ref);
+    const std::uint32_t on_fail = jump_to(fail_ref);
+    if (overflow_) return 0;
+    if (code_.size() >= cap_) {
+      overflow_ = true;
       return 0;
     }
-    const std::uint32_t pc = static_cast<std::uint32_t>(code.size());
-    code.push_back(
+    const std::uint32_t pc = static_cast<std::uint32_t>(code_.size());
+    code_.push_back(
         {mask, value, pack_jump(on_match, word), pack_jump(on_fail, word)});
-    memo.emplace(r, pc);
+    memo_[r] = {epoch_, pc};
     return pc;
+  }
+
+  struct MemoEntry {
+    std::uint32_t stamp = 0;  ///< tree-node stamp that wrote `pc`
+    std::uint32_t pc = 0;
   };
 
+  const bdd::FlatBddNode* bdd_;
+  std::vector<MemoEntry> memo_;
+  std::uint32_t epoch_ = 0;
+  std::size_t cap_;
+  bool overflow_ = false;
+  std::uint32_t true_cont_ = 0, false_cont_ = 0;
+  std::vector<MatchInsn> code_;
+};
+
+}  // namespace
+
+void ProgramImage::write(MatchInsn* dst) const {
+  const auto relabel = [&](std::uint32_t jump) {
+    if (jump & MatchProgram::kLeafBit) return jump;
+    return (jump & ~MatchProgram::kTargetMask) |
+           newpc_[jump & MatchProgram::kTargetMask];
+  };
+  for (const std::uint32_t pc : order_) {
+    const MatchInsn& insn = code_[pc];
+    *dst++ = {insn.mask, insn.value, relabel(insn.on_match),
+              relabel(insn.on_fail)};
+  }
+}
+
+std::optional<ProgramImage> MatchProgram::lower(
+    const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
+    const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
+    std::size_t max_bytes) {
+  if (tree_count == 0 || root < 0) return std::nullopt;
+  const std::size_t cap =
+      max_bytes == 0 ? kMaxInstructions
+                     : std::min(kMaxInstructions, max_bytes / sizeof(MatchInsn));
+
+  // Pass 1 — lower, tree nodes in reverse DFS order.  A node's true branch
+  // continues at tree[idx + 1] and its false branch at tree[idx].right, and
+  // both sit strictly after idx in DFS preorder, so walking idx backwards
+  // guarantees every continuation's entry jump is already known.  Leaves
+  // need no instruction at all: their entry IS a leaf-encoded jump.
+  Lowerer lowerer(bdd_nodes, bdd_count, cap);
+  std::vector<std::uint32_t> entry(tree_count, kLeafBit);
   for (std::int32_t idx = static_cast<std::int32_t>(tree_count) - 1; idx >= 0;
        --idx) {
     const FlatTreeNode& t = tree[idx];
@@ -130,11 +175,8 @@ std::shared_ptr<const MatchProgram> MatchProgram::compile(
       entry[idx] = kLeafBit | t.bdd_root;
       continue;
     }
-    true_cont = entry[idx + 1];
-    false_cont = entry[t.right];
-    memo.clear();
-    entry[idx] = emit(t.bdd_root);
-    if (overflow) return nullptr;
+    entry[idx] = lowerer.lower(t.bdd_root, entry[idx + 1], entry[t.right]);
+    if (lowerer.overflow()) return std::nullopt;
   }
 
   // Pass 2 — layout.  Pass 1 emitted continuations before consumers, so the
@@ -142,38 +184,45 @@ std::shared_ptr<const MatchProgram> MatchProgram::compile(
   // in DFS preorder from the entry, match edge first: the all-match path of
   // any walk becomes forward-contiguous, and instructions unreachable from
   // the entry (lowered for tree nodes a constant predicate skips) drop out.
-  auto prog = std::shared_ptr<MatchProgram>(new MatchProgram());
+  // The instructions themselves move only in ProgramImage::write().
+  ProgramImage img;
+  img.code_ = lowerer.take_code();
   constexpr std::uint32_t kUnplaced = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> newpc(code.size(), kUnplaced);
-  std::vector<std::uint32_t> order;
-  order.reserve(code.size());
+  img.newpc_.assign(img.code_.size(), kUnplaced);
+  img.order_.reserve(img.code_.size());
   if ((entry[root] & kLeafBit) == 0) {
     std::vector<std::uint32_t> stack{entry[root] & kTargetMask};
     while (!stack.empty()) {
       const std::uint32_t pc = stack.back();
       stack.pop_back();
-      if (newpc[pc] != kUnplaced) continue;
-      newpc[pc] = static_cast<std::uint32_t>(order.size());
-      order.push_back(pc);
-      const MatchInsn& insn = code[pc];
+      if (img.newpc_[pc] != kUnplaced) continue;
+      img.newpc_[pc] = static_cast<std::uint32_t>(img.order_.size());
+      img.order_.push_back(pc);
+      const MatchInsn& insn = img.code_[pc];
       if ((insn.on_fail & kLeafBit) == 0)
         stack.push_back(insn.on_fail & kTargetMask);
       if ((insn.on_match & kLeafBit) == 0)  // pushed last: popped (placed) first
         stack.push_back(insn.on_match & kTargetMask);
     }
+    img.entry_ = (entry[root] & ~kTargetMask) | img.newpc_[entry[root] & kTargetMask];
+  } else {
+    img.entry_ = entry[root];
   }
-  prog->insns_.reserve(order.size());
-  const auto relabel = [&](std::uint32_t jump) {
-    if (jump & kLeafBit) return jump;
-    return (jump & ~kTargetMask) | newpc[jump & kTargetMask];
-  };
-  for (const std::uint32_t pc : order) {
-    MatchInsn insn = code[pc];
-    insn.on_match = relabel(insn.on_match);
-    insn.on_fail = relabel(insn.on_fail);
-    prog->insns_.push_back(insn);
-  }
-  prog->entry_ = relabel(entry[root]);
+  return img;
+}
+
+std::shared_ptr<const MatchProgram> MatchProgram::compile(
+    const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
+    const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
+    std::size_t max_bytes) {
+  Stopwatch sw;
+  const std::optional<ProgramImage> img =
+      lower(bdd_nodes, bdd_count, tree, tree_count, root, max_bytes);
+  if (!img) return nullptr;
+  auto prog = std::shared_ptr<MatchProgram>(new MatchProgram());
+  prog->insns_.resize(img->instruction_count());
+  img->write(prog->insns_.data());
+  prog->entry_ = img->entry();
   prog->code_ = prog->insns_.data();
   prog->code_count_ = prog->insns_.size();
   prog->compile_seconds_ = sw.seconds();

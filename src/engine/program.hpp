@@ -51,6 +51,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ap/atoms.hpp"
@@ -104,6 +105,27 @@ struct MatchInsn {
 };
 static_assert(sizeof(MatchInsn) == 16, "instructions must stay 16 bytes");
 
+/// A lowered program not yet written anywhere: the compiler's pass-1
+/// instructions plus their final DFS layout (MatchProgram::lower).  write()
+/// emits the laid-out, relabeled instructions straight into caller-owned
+/// storage — the snapshot arena — so a publish copies each instruction once
+/// on its way there.
+class ProgramImage {
+ public:
+  std::size_t instruction_count() const { return order_.size(); }
+  /// Entry jump, already relabeled to the final layout.
+  std::uint32_t entry() const { return entry_; }
+  /// Writes instruction_count() instructions to `dst`.
+  void write(MatchInsn* dst) const;
+
+ private:
+  friend class MatchProgram;
+  std::vector<MatchInsn> code_;        ///< pass-1 order
+  std::vector<std::uint32_t> order_;   ///< final pc -> pass-1 pc
+  std::vector<std::uint32_t> newpc_;   ///< pass-1 pc -> final pc
+  std::uint32_t entry_ = 0;
+};
+
 class MatchProgram {
  public:
   static constexpr std::uint32_t kLeafBit = 0x80000000u;
@@ -122,6 +144,15 @@ class MatchProgram {
   /// only) — the caller keeps the interpreted walk.  Pure function of its
   /// arguments; the result holds no references to them.
   static std::shared_ptr<const MatchProgram> compile(
+      const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
+      const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
+      std::size_t max_bytes = 0);
+
+  /// compile() without the final copy: lowers and lays out the program and
+  /// returns it as an image for the caller to write into its own storage
+  /// (nullopt on the same budget overflow).  compile() is lower() + write()
+  /// into the program's own vector, so both produce identical bytes.
+  static std::optional<ProgramImage> lower(
       const bdd::FlatBddNode* bdd_nodes, std::size_t bdd_count,
       const FlatTreeNode* tree, std::size_t tree_count, std::int32_t root,
       std::size_t max_bytes = 0);

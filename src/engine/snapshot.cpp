@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "util/stopwatch.hpp"
 
@@ -33,42 +32,21 @@ BitsRef FlatSnapshot::CoreData::intern_bits(const FlatBitset& b) {
 }
 
 FlatSnapshot::CoreData FlatSnapshot::freeze_core(const ApClassifier& clf) {
+  Stopwatch sw;
   CoreData core;
   const ApTree& tree = clf.tree();
   const PredicateRegistry& reg = clf.registry();
   require(!tree.empty(), "FlatSnapshot: empty tree");
 
-  // Flatten the BDD of every distinct predicate the tree evaluates into one
-  // shared node array (structural sharing across predicates is preserved:
-  // flatten() deduplicates by manager node).  Only REACHABLE nodes count:
-  // incremental deletes leave unreachable garbage behind, and garbage may
-  // be labeled with since-deleted predicates.
-  std::vector<PredId> pred_ids;
-  std::unordered_map<PredId, std::uint32_t> pred_slot;
-  {
-    std::vector<std::int32_t> dfs{tree.root()};
-    while (!dfs.empty()) {
-      const ApTree::Node& n = tree.node(dfs.back());
-      dfs.pop_back();
-      if (n.is_leaf()) continue;
-      const PredId p = static_cast<PredId>(n.pred);
-      if (pred_slot.emplace(p, static_cast<std::uint32_t>(pred_ids.size())).second)
-        pred_ids.push_back(p);
-      dfs.push_back(n.right);
-      dfs.push_back(n.left);
-    }
-  }
-  std::vector<bdd::Bdd> roots;
-  roots.reserve(pred_ids.size());
-  for (const PredId p : pred_ids) roots.push_back(reg.bdd_of(p));
-  std::vector<bdd::FlatBddNode> flat_nodes;
-  const std::vector<std::uint32_t> dense_roots = bdd::flatten(roots, flat_nodes);
-
   // Freeze the tree in DFS preorder: a node's true-branch child is the next
   // array element (only the false-branch index is materialized), so a walk
   // streams forward through a hot prefix instead of chasing source-tree
   // indices.  The predicate sequence along any root-to-leaf path — and hence
-  // the evaluation count — is unchanged.
+  // the evaluation count — is unchanged.  Internal nodes hold their PredId
+  // in `bdd_root` until the BDDs are flattened below.  Only tree nodes
+  // reachable from the root are visited: incremental deletes leave
+  // unreachable garbage behind, and garbage may be labeled with
+  // since-deleted predicates.
   {
     struct WorkItem {
       std::int32_t src;  ///< source-tree node to emit next
@@ -89,7 +67,7 @@ FlatSnapshot::CoreData FlatSnapshot::freeze_core(const ApClassifier& clf) {
         f.right = kLeaf;
         core.tree.push_back(f);
       } else {
-        f.bdd_root = dense_roots[pred_slot.at(static_cast<PredId>(n.pred))];
+        f.bdd_root = static_cast<PredId>(n.pred);
         f.right = 0;  // patched when the false branch is emitted
         core.tree.push_back(f);
         // Pop order: left (true branch) is emitted immediately after dst so
@@ -102,38 +80,28 @@ FlatSnapshot::CoreData FlatSnapshot::freeze_core(const ApClassifier& clf) {
     core.tree_root = 0;
   }
 
-  // Reorder the BDD nodes DFS-contiguous in tree order (hi edge first): the
-  // nodes a walk dereferences early land early in the array, so the hot
-  // paths of all predicates share a compact prefix of cache lines.
-  {
-    constexpr std::uint32_t kUnmapped = 0xFFFFFFFFu;
-    std::vector<std::uint32_t> remap(flat_nodes.size(), kUnmapped);
-    remap[bdd::kFalse] = bdd::kFalse;
-    remap[bdd::kTrue] = bdd::kTrue;
-    core.bdd_nodes.reserve(flat_nodes.size());
-    core.bdd_nodes.push_back(flat_nodes[bdd::kFalse]);
-    core.bdd_nodes.push_back(flat_nodes[bdd::kTrue]);
-    std::vector<std::uint32_t> stack;
-    for (const FlatTreeNode& t : core.tree) {
-      if (t.right == kLeaf) continue;
-      stack.push_back(t.bdd_root);
-      while (!stack.empty()) {
-        const std::uint32_t r = stack.back();
-        stack.pop_back();
-        if (r <= bdd::kTrue || remap[r] != kUnmapped) continue;
-        remap[r] = static_cast<std::uint32_t>(core.bdd_nodes.size());
-        core.bdd_nodes.push_back(flat_nodes[r]);
-        stack.push_back(flat_nodes[r].lo);  // popped second
-        stack.push_back(flat_nodes[r].hi);  // popped first: hi path is hot
-      }
-    }
-    for (std::size_t i = 2; i < core.bdd_nodes.size(); ++i) {
-      core.bdd_nodes[i].lo = remap[core.bdd_nodes[i].lo];
-      core.bdd_nodes[i].hi = remap[core.bdd_nodes[i].hi];
-    }
-    for (FlatTreeNode& t : core.tree)
-      if (t.right != kLeaf) t.bdd_root = remap[t.bdd_root];
+  // Flatten the BDD of every distinct predicate the tree evaluates into one
+  // shared node array (structural sharing across predicates is preserved:
+  // flatten() deduplicates by manager node), laid out DFS-contiguous in
+  // tree order, hi edge first: the nodes a walk dereferences early land
+  // early in the array, so the hot paths of all predicates share a compact
+  // prefix of cache lines.  flatten() pops its roots last-first and
+  // finishes one root's subgraph before the next, hi child first, so
+  // passing the predicates in REVERSE order of first use yields exactly
+  // that layout in one pass.
+  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> pred_slot(reg.size(), kNoSlot);
+  std::vector<bdd::Bdd> roots;
+  for (const FlatTreeNode& t : core.tree) {
+    if (t.right == kLeaf || pred_slot[t.bdd_root] != kNoSlot) continue;
+    pred_slot[t.bdd_root] = static_cast<std::uint32_t>(roots.size());
+    roots.push_back(reg.bdd_of(t.bdd_root));
   }
+  std::reverse(roots.begin(), roots.end());  // slot s is now roots[size-1-s]
+  const std::vector<std::uint32_t> dense_roots = bdd::flatten(roots, core.bdd_nodes);
+  for (FlatTreeNode& t : core.tree)
+    if (t.right != kLeaf)
+      t.bdd_root = dense_roots[roots.size() - 1 - pred_slot[t.bdd_root]];
 
   // Freeze stage 2 flattened: per-box contiguous runs of port entries and
   // input-ACL slots, with every R(p) bitset interned into the shared word
@@ -179,6 +147,7 @@ FlatSnapshot::CoreData FlatSnapshot::freeze_core(const ApClassifier& clf) {
   core.atom_capacity = clf.atoms().capacity();
   core.has_middleboxes = clf.has_middleboxes();
   core.tracks_visits = clf.options().track_visits;
+  core.freeze_seconds = sw.seconds();
   return core;
 }
 
@@ -189,32 +158,30 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   // its instructions land inside the single allocation — that is what lets
   // save_snapshot write one contiguous image and a mapped load skip the
   // recompile entirely.
-  std::shared_ptr<const MatchProgram> compiled;
-  const MatchInsn* prog_code = nullptr;
+  std::optional<ProgramImage> image;
+  const MatchInsn* carried_code = nullptr;
   std::size_t prog_count = 0;
   std::uint32_t prog_entry = 0;
   double compile_seconds = 0.0;
-  bool have_program = false;
   if (carried != nullptr) {
-    prog_code = carried->instructions();
+    carried_code = carried->instructions();
     prog_count = carried->instruction_count();
     prog_entry = carried->entry();
-    have_program = true;
   } else if (opts.compile_program != ProgramMode::kNever) {
     const std::size_t max_bytes = opts.compile_program == ProgramMode::kAuto
                                       ? MatchProgram::kAutoProgramBytes
                                       : 0;
-    compiled = MatchProgram::compile(core.bdd_nodes.data(), core.bdd_nodes.size(),
-                                     core.tree.data(), core.tree.size(),
-                                     core.tree_root, max_bytes);
-    if (compiled) {  // nullptr (over budget) keeps the interpreted walk
-      prog_code = compiled->instructions();
-      prog_count = compiled->instruction_count();
-      prog_entry = compiled->entry();
-      compile_seconds = compiled->compile_seconds();
-      have_program = true;
+    Stopwatch sw;
+    image = MatchProgram::lower(core.bdd_nodes.data(), core.bdd_nodes.size(),
+                                core.tree.data(), core.tree.size(),
+                                core.tree_root, max_bytes);
+    compile_seconds = sw.seconds();
+    if (image) {  // nullopt (over budget) keeps the interpreted walk
+      prog_count = image->instruction_count();
+      prog_entry = image->entry();
     }
   }
+  const bool have_program = carried != nullptr || image.has_value();
 
   ArenaBuilder b;
   const ArenaRef bdd_ref = b.reserve<bdd::FlatBddNode>(core.bdd_nodes.size());
@@ -236,7 +203,15 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
   copy(ports_ref, core.ports.data(), sizeof(ArenaPortEntry));
   copy(acls_ref, core.in_acls.data(), sizeof(ArenaInAcl));
   copy(words_ref, core.words.data(), sizeof(std::uint64_t));
-  copy(prog_ref, prog_code, sizeof(MatchInsn));
+  if (image) {
+    // The image writes the laid-out program straight into the arena: the
+    // one copy of each instruction on its way from the compiler.
+    Stopwatch sw;
+    image->write(b.section<MatchInsn>(prog_ref));
+    compile_seconds += sw.seconds();
+  } else {
+    copy(prog_ref, carried_code, sizeof(MatchInsn));
+  }
 
   ArenaHeader& h = b.header();
   h.flags = (core.has_middleboxes ? ArenaHeader::kHasMiddleboxes : 0u) |
@@ -261,6 +236,7 @@ std::shared_ptr<FlatSnapshot> FlatSnapshot::from_core(CoreData&& core,
 
   auto snap = std::shared_ptr<FlatSnapshot>(new FlatSnapshot());
   snap->adopt_arena(b.finish(), opts, compile_seconds, carried != nullptr);
+  snap->freeze_seconds_ = core.freeze_seconds;
   return snap;
 }
 

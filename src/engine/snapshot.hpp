@@ -183,6 +183,11 @@ class FlatSnapshot {
 
   std::size_t bdd_node_count() const { return bdd_count_; }
   std::size_t tree_node_count() const { return tree_count_; }
+  /// The frozen arrays MatchProgram::compile lowers (read-only views into
+  /// the arena, valid for the snapshot's lifetime).
+  const bdd::FlatBddNode* bdd_nodes() const { return bdd_nodes_; }
+  const FlatTreeNode* tree_nodes() const { return tree_; }
+  std::int32_t tree_root() const { return tree_root_; }
   std::size_t atom_capacity() const { return atom_capacity_; }
   std::size_t box_count() const { return box_count_; }
 
@@ -205,6 +210,10 @@ class FlatSnapshot {
   std::uint64_t behavior_table_fills() const { return table_fills_.value(); }
   /// Wall-clock seconds the eager table precompute took (0 when lazy/off).
   double behavior_table_build_seconds() const { return table_build_seconds_; }
+  /// Wall-clock seconds freezing the classifier took — tree, BDD flatten
+  /// and stage-2 records, before program compile and arena assembly (0 for
+  /// a snapshot loaded from a file).
+  double freeze_seconds() const { return freeze_seconds_; }
   /// nullptr when the cache is disabled.
   const HeaderAtomCache* header_cache() const { return cache_.get(); }
   /// Cache traffic counters, folded in by classify()/classify_into().
@@ -260,6 +269,7 @@ class FlatSnapshot {
     std::size_t atom_capacity = 0;
     bool has_middleboxes = false;
     bool tracks_visits = false;
+    double freeze_seconds = 0.0;  ///< freeze_core wall time (0 when loaded)
 
     /// Appends a bitset to the word pool and returns its ref.
     BitsRef intern_bits(const FlatBitset& b);
@@ -339,6 +349,7 @@ class FlatSnapshot {
 
   std::size_t atom_capacity_ = 0;
   bool has_middleboxes_ = false;
+  double freeze_seconds_ = 0.0;
   mutable VisitCounters visits_;  ///< stats only; empty unless tracking
 
   // ---- Behavior table (layer 1) ----

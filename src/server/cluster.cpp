@@ -69,21 +69,6 @@ const char* shard_state_name(ShardState s) {
   return "unknown";
 }
 
-void ShardedCluster::LatencyReservoir::record(double v) {
-  std::lock_guard<std::mutex> lock(mu);
-  if (us.size() < kCap) {
-    us.push_back(v);
-  } else {
-    us[next] = v;
-    next = (next + 1) % kCap;
-  }
-}
-
-std::vector<double> ShardedCluster::LatencyReservoir::samples() const {
-  std::lock_guard<std::mutex> lock(mu);
-  return us;
-}
-
 ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
     : opts_(std::move(opts)), net_(net) {
   require(opts_.shards > 0, "ShardedCluster: zero shards");
@@ -290,9 +275,10 @@ ShardedCluster::BatchResult ShardedCluster::run_batch(
     const bool injected = util::fault_fires("cluster.shard.batch");
     if (!injected && execute_slice(view, s, classify_ix[s], query_ix[s], items, out)) {
       note_shard_success(s);
-      shards_[s]->batch_us.record(std::chrono::duration<double, std::micro>(
-                                      std::chrono::steady_clock::now() - t0)
-                                      .count());
+      shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
       continue;
     }
     // This shard shed or failed mid-batch: trip its breaker and re-run its
@@ -567,14 +553,13 @@ obs::MetricsSnapshot ShardedCluster::stats() const {
          "count"});
     out.rows.push_back(
         {prefix + ".read_only", shard_read_only(i) ? 1.0 : 0.0, "bool"});
-    // Cluster-level service-time rows from the raw reservoir.  An idle
-    // shard has an empty sample set; percentile_or makes that a 0 row
-    // instead of an exception that would take the whole STATS reply down.
-    const std::vector<double> us = shards_[i]->batch_us.samples();
-    out.rows.push_back({prefix + ".batch_us.p50", percentile_or(us, 50.0), "us"});
-    out.rows.push_back({prefix + ".batch_us.p99", percentile_or(us, 99.0), "us"});
+    // Per-shard service-time rows (an idle shard's empty histogram reads
+    // 0 in every row).
+    const obs::LatencyHistogram::Summary batch = shards_[i]->batch_ns.summary();
+    out.rows.push_back({prefix + ".batch_us.p50", batch.p50 * 1e-3, "us"});
+    out.rows.push_back({prefix + ".batch_us.p99", batch.p99 * 1e-3, "us"});
     out.rows.push_back(
-        {prefix + ".batch_us.count", static_cast<double>(us.size()), "count"});
+        {prefix + ".batch_us.count", static_cast<double>(batch.count), "count"});
     if (shards_[i]->wal) {
       out.rows.push_back({prefix + ".wal_records",
                           static_cast<double>(shards_[i]->wal->records_appended().value()),

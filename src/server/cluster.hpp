@@ -185,8 +185,7 @@ class ShardedCluster {
   /// updates_applied, shard_state, resyncs, wal.retries) plus every shard's
   /// health/WAL rows and engine inventory under "shard<i>.".  Materialized
   /// under the update lock so callback rows never race a mutation; idle
-  /// shards (zero queries) report zeroed latency rows rather than failing
-  /// (util::percentile_or).
+  /// shards (zero queries) report zeroed latency rows.
   obs::MetricsSnapshot stats() const;
 
   /// Updates applied (add + remove) since construction.
@@ -195,18 +194,6 @@ class ShardedCluster {
   }
 
  private:
-  /// Bounded ring of recent per-batch service times (us) for one shard.
-  /// stats() folds it through util::percentile_or, so a shard that served
-  /// nothing reports 0 — not an exception from percentile-of-empty.
-  struct LatencyReservoir {
-    static constexpr std::size_t kCap = 4096;
-    mutable std::mutex mu;
-    std::vector<double> us;
-    std::size_t next = 0;
-    void record(double v);
-    std::vector<double> samples() const;
-  };
-
   /// The swappable compute core of a shard.  Resync builds a replacement
   /// offline and swaps the shared_ptr; in-flight batches keep the old one
   /// alive through PinnedView::engines.  Member order matters: the engine
@@ -221,7 +208,7 @@ class ShardedCluster {
   struct Shard {
     std::shared_ptr<Replica> replica;  ///< guarded by swap_mu_
     std::unique_ptr<io::Wal> wal;      ///< guarded by update_mu_
-    LatencyReservoir batch_us;
+    obs::LatencyHistogram batch_ns;    ///< per-batch service time
     std::atomic<ShardState> state{ShardState::kHealthy};
     std::atomic<std::size_t> failures{0};  ///< consecutive, breaker input
     std::atomic<bool> read_only{false};    ///< poisoned WAL: refuse updates

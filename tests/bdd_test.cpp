@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -289,6 +290,77 @@ TEST(Bdd, FlattenMatchesEvalAndIsManagerFree) {
                 eval_flat(nodes.data(), flat_roots[i], bits))
           << "root " << i << " assignment " << x;
   }
+}
+
+TEST(Bdd, FlattenOverSparseHighRefsAfterGc) {
+  // Churn the pool so the live roots land on high, sparse NodeRefs with
+  // freed slots between them — the shape a long-running classifier's
+  // manager has after many incremental updates.
+  constexpr std::uint32_t kVars = 10;
+  BddManager mgr(kVars);
+  apc::Rng rng(29);
+  const auto random_fn = [&] {
+    Bdd f = mgr.var(static_cast<std::uint32_t>(rng.uniform(kVars)));
+    for (int j = 0; j < 8; ++j) {
+      const Bdd v = mgr.var(static_cast<std::uint32_t>(rng.uniform(kVars)));
+      switch (rng.uniform(3)) {
+        case 0: f = f & v; break;
+        case 1: f = f | !v; break;
+        default: f = f ^ v; break;
+      }
+    }
+    return f;
+  };
+  std::vector<Bdd> roots;
+  {
+    std::vector<Bdd> garbage;
+    for (int i = 0; i < 4000; ++i) garbage.push_back(random_fn());
+    for (int i = 0; i < 24; ++i) {
+      for (int k = 0; k < 50; ++k) garbage.push_back(random_fn());
+      roots.push_back(random_fn());
+    }
+  }
+  mgr.gc();
+
+  // The roots really are sparse: most of the pool below them is free.
+  NodeRef max_root = 0;
+  for (const Bdd& r : roots) max_root = std::max(max_root, r.ref());
+  ASSERT_GT(mgr.node_slot_count(), 2 * mgr.allocated_node_count());
+  ASSERT_GT(max_root, mgr.allocated_node_count());
+
+  std::vector<FlatBddNode> nodes;
+  const std::vector<std::uint32_t> flat_roots = flatten(roots, nodes);
+
+  // Exactly the reachable nodes (plus the two terminals), no more.
+  std::vector<bool> seen(mgr.node_slot_count(), false);
+  std::vector<NodeRef> stack;
+  std::size_t reachable = 0;
+  for (const Bdd& r : roots) stack.push_back(r.ref());
+  while (!stack.empty()) {
+    const NodeRef r = stack.back();
+    stack.pop_back();
+    if (r <= kTrue || seen[r]) continue;
+    seen[r] = true;
+    ++reachable;
+    stack.push_back(mgr.node_low(r));
+    stack.push_back(mgr.node_high(r));
+  }
+  EXPECT_EQ(nodes.size(), reachable + 2);
+
+  for (std::uint32_t x = 0; x < (1u << kVars); ++x) {
+    const auto bits = [&](std::uint32_t v) { return ((x >> v) & 1) != 0; };
+    for (std::size_t i = 0; i < roots.size(); ++i)
+      ASSERT_EQ(roots[i].eval(bits), eval_flat(nodes.data(), flat_roots[i], bits))
+          << "root " << i << " assignment " << x;
+  }
+
+  // Deterministic: a second export is byte-identical (snapshot republish
+  // relies on this to carry the compiled program across publishes).
+  std::vector<FlatBddNode> again;
+  EXPECT_EQ(flatten(roots, again), flat_roots);
+  ASSERT_EQ(again.size(), nodes.size());
+  EXPECT_EQ(std::memcmp(again.data(), nodes.data(), nodes.size() * sizeof(FlatBddNode)),
+            0);
 }
 
 TEST(Bdd, HandleCopyAndMoveRefcounting) {

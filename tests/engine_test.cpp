@@ -261,6 +261,10 @@ TEST(QueryEngine, StatsRoundTripUnderConcurrentUpdates) {
   EXPECT_GE(snap.find("engine.queries_answered")->value,
             static_cast<double>(2 * w.trace.size()));
   EXPECT_DOUBLE_EQ(snap.find("engine.publish_count")->value, 4.0);  // ctor + 3
+  // One publish-latency sample per republish (the ctor's build is not one).
+  EXPECT_DOUBLE_EQ(snap.find("engine.publish_seconds.count")->value, 3.0);
+  EXPECT_GT(snap.find("engine.publish_seconds.max")->value, 0.0);
+  EXPECT_GT(snap.find("engine.snapshot.freeze_us")->value, 0.0);
   EXPECT_GT(snap.find("engine.classify_batch_seconds.count")->value, 0.0);
   EXPECT_GT(snap.find("engine.query_batch_seconds.count")->value, 0.0);
   EXPECT_GT(snap.find("engine.batch_size.max")->value, 0.0);

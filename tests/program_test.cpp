@@ -25,6 +25,7 @@ using datasets::Dataset;
 using datasets::Scale;
 using engine::FlatSnapshot;
 using engine::KernelKind;
+using engine::MatchInsn;
 using engine::MatchProgram;
 using engine::ProgramMode;
 using engine::QueryEngine;
@@ -118,6 +119,81 @@ TEST(MatchProgram, DifferentialExhaustiveAcrossAtoms) {
     snap->classify_into(hs.data(), hs.size(), out.data());
     for (std::size_t i = 0; i < hs.size(); ++i)
       ASSERT_EQ(out[i], snap->classify_walk(hs[i]));
+  }
+}
+
+/// FNV-1a 64 over the instruction bytes, then the entry jump.
+std::uint64_t program_digest(const MatchInsn* code, std::size_t count,
+                             std::uint32_t entry) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  };
+  mix(code, count * sizeof(MatchInsn));
+  mix(&entry, sizeof(entry));
+  return h;
+}
+
+TEST(MatchProgram, GoldenProgramBytesOnTinyDatasets) {
+  // Pinned from the compiler as it stood before the dense-memo rewrite, so
+  // any change to lowering, coalescing or layout shows up here byte for
+  // byte, not only as a behaviour difference.
+  struct Golden {
+    bool internet2;
+    std::size_t instructions;
+    std::uint32_t entry;
+    std::uint64_t digest;
+  };
+  for (const Golden& g : {Golden{true, 142, 0x00000000u, 0xc66fb147f806c704ull},
+                          Golden{false, 273, 0x00000000u, 0xd50616ed4795c9f6ull}}) {
+    SCOPED_TRACE(g.internet2 ? "internet2_like(Tiny)" : "stanford_like(Tiny)");
+    Dataset d = g.internet2 ? datasets::internet2_like(Scale::Tiny)
+                            : datasets::stanford_like(Scale::Tiny);
+    auto mgr = Dataset::make_manager();
+    ApClassifier clf(d.net, mgr);
+    const auto snap = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+    const MatchProgram* prog = snap->program();
+    ASSERT_NE(prog, nullptr);
+    EXPECT_EQ(prog->instruction_count(), g.instructions);
+    EXPECT_EQ(prog->entry(), g.entry);
+    EXPECT_EQ(program_digest(prog->instructions(), prog->instruction_count(),
+                             prog->entry()),
+              g.digest);
+  }
+}
+
+TEST(MatchProgram, CompilingTheSameArraysTwiceIsByteIdentical) {
+  for (const int which : {0, 1}) {
+    Dataset d = which == 0 ? datasets::internet2_like(Scale::Tiny)
+                           : datasets::stanford_like(Scale::Tiny);
+    auto mgr = Dataset::make_manager();
+    ApClassifier clf(d.net, mgr);
+    const auto snap = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+    ASSERT_NE(snap->program(), nullptr);
+    const auto compile = [&] {
+      return MatchProgram::compile(snap->bdd_nodes(), snap->bdd_node_count(),
+                                   snap->tree_nodes(), snap->tree_node_count(),
+                                   snap->tree_root());
+    };
+    const auto a = compile();
+    const auto b = compile();
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    for (const MatchProgram* p : {b.get(), snap->program()}) {
+      ASSERT_EQ(p->instruction_count(), a->instruction_count());
+      EXPECT_EQ(p->entry(), a->entry());
+      EXPECT_EQ(std::memcmp(p->instructions(), a->instructions(), a->bytes()), 0);
+    }
+    // A second freeze of the unchanged classifier compiles the same bytes.
+    const auto again = FlatSnapshot::build(clf, program_options(ProgramMode::kAlways));
+    ASSERT_EQ(again->program_instructions(), a->instruction_count());
+    EXPECT_EQ(std::memcmp(again->program()->instructions(), a->instructions(),
+                          a->bytes()),
+              0);
   }
 }
 
