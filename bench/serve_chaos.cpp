@@ -1,24 +1,25 @@
-// Chaos-serving gate: drives a 4-shard cluster behind the TCP front end
-// through a transport-fault schedule (slowloris trickle, silent peers at
-// the connection cap, a dead reader, mid-stream RSTs, a quarantined shard
-// resyncing back in — plus, under APC_FAULT_INJECTION, a WAL fsync burst
-// absorbed by retries and a poisoned WAL flipping a shard read-only until
-// resync) while a healthy closed-loop population keeps querying.
+// Chaos-serving gate: drives the cluster behind the TCP front end through a
+// transport-fault schedule (slowloris trickle, silent peers at the
+// connection cap, a dead reader, mid-stream RSTs — plus, under
+// APC_FAULT_INJECTION, a WAL fsync burst absorbed by retries and a poisoned
+// WAL making the cluster read-only until a restart) while a healthy
+// closed-loop population keeps querying.
 //
 // Unlike the figure benches this binary is a GATE: it exits non-zero when
 // any robustness invariant breaks —
 //   * zero hung threads (live_sessions drains to 0 after the schedule),
 //   * healthy-population p99 within max(2x, +500us) of the fault-free
-//     baseline,
+//     baseline, measured after a discarded warm-up with the same
+//     population and duration as the faulted phase,
 //   * deadlines fired (timeouts > 0), cap shed (sheds > 0),
-//   * the quarantined shard was re-admitted (resyncs >= 1) and the final
-//     batch is not degraded.
+//   * under fault injection: updates refused and the cluster read-only
+//     after the poison while queries keep serving, then writable again
+//     after a restart that replays the log.
 //
 // Emits BENCH_serve_chaos.json:
 //   chaos.p99_base_us / chaos.p99_fault_us / chaos.batches_base /
-//   chaos.batches_fault / chaos.degraded_batches / chaos.timeouts /
-//   chaos.sheds / chaos.resyncs / chaos.reroutes / chaos.wal_retries /
-//   chaos.gate_failures
+//   chaos.batches_fault / chaos.timeouts / chaos.sheds / chaos.wal_retries /
+//   chaos.read_only_under_poison / chaos.gate_failures
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -30,10 +31,10 @@
 #include <thread>
 
 #include "bench_util.hpp"
-#include "server/chaos_proxy.hpp"
 #include "server/cluster.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "support/chaos_proxy.hpp"
 #include "util/fault_injection.hpp"
 #include "util/stats.hpp"
 
@@ -42,9 +43,10 @@ namespace {
 
 using bench::BenchJson;
 
-constexpr std::size_t kShards = 4;
 constexpr std::size_t kHealthyClients = 4;
 constexpr std::size_t kBatchLines = 48;
+/// The baseline and the faulted phase run the same population this long.
+constexpr double kPhaseSeconds = 2.5;
 
 /// Blocking loopback line client (bench binaries stay test-framework-free).
 class LineClient {
@@ -100,13 +102,12 @@ class LineClient {
 };
 
 /// One closed-loop healthy client: fixed-size mixed batches, waits for the
-/// full reply, records per-batch latency and degraded flags.  Any protocol
+/// full reply, records per-batch latency.  Any protocol
 /// violation (non-201 status, truncated reply) sets the shared error flag —
 /// the healthy population must keep being served THROUGH the fault schedule.
 void healthy_loop(std::uint16_t port, const std::vector<PacketHeader>& trace,
                   BoxId boxes, std::uint64_t seed, const std::atomic<bool>& stop,
-                  std::vector<double>& lat_us, std::atomic<std::uint64_t>& degraded,
-                  std::atomic<std::uint64_t>& batches,
+                  std::vector<double>& lat_us, std::atomic<std::uint64_t>& batches,
                   std::atomic<bool>& client_error) {
   try {
     LineClient conn(port);
@@ -128,8 +129,6 @@ void healthy_loop(std::uint16_t port, const std::vector<PacketHeader>& trace,
       conn.send(out);
       const std::string status = conn.read_line();
       if (status.rfind("201 ", 0) != 0) throw Error("bad status: " + status);
-      if (status.find(" degraded=1") != std::string::npos)
-        degraded.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < kBatchLines; ++i)
         if (conn.read_line().empty()) throw Error("truncated reply");
       lat_us.push_back(sw.seconds() * 1e6);
@@ -156,7 +155,6 @@ bool wait_until(const std::function<bool()>& pred, int budget_ms) {
 std::vector<double> run_population(std::uint16_t port,
                                    const std::vector<PacketHeader>& trace,
                                    BoxId boxes, double seconds,
-                                   std::atomic<std::uint64_t>& degraded,
                                    std::atomic<std::uint64_t>& batches,
                                    std::atomic<bool>& client_error,
                                    const std::function<void()>& mid_schedule) {
@@ -165,8 +163,7 @@ std::vector<double> run_population(std::uint16_t port,
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < kHealthyClients; ++c)
     threads.emplace_back([&, c] {
-      healthy_loop(port, trace, boxes, 100 + c, stop, lat[c], degraded, batches,
-                   client_error);
+      healthy_loop(port, trace, boxes, 100 + c, stop, lat[c], batches, client_error);
     });
   Stopwatch sw;
   if (mid_schedule) mid_schedule();
@@ -183,7 +180,7 @@ std::vector<double> run_population(std::uint16_t port,
 
 int run() {
   const datasets::Scale scale = bench::bench_scale();
-  bench::print_header("Chaos serving gate (deadlines, sheds, quarantine/resync)");
+  bench::print_header("Chaos serving gate (deadlines, sheds, WAL poison)");
 
   bench::World w = bench::make_world(0, scale);
   Rng rng(7);
@@ -196,10 +193,9 @@ int run() {
   std::filesystem::create_directories(wal_dir);
 
   server::ShardedCluster::Options copts;
-  copts.shards = kShards;
   copts.engine.num_threads = 2;
   copts.wal_dir = wal_dir;
-  server::ShardedCluster cluster(w.data().net, copts);
+  auto cluster = std::make_unique<server::ShardedCluster>(w.data().net, copts);
 
   server::TcpServer::Options sopts;
   sopts.read_idle_timeout_ms = 250;
@@ -207,10 +203,10 @@ int run() {
   sopts.so_sndbuf = 16384;
   sopts.max_connections = 10;
   sopts.drain_timeout_ms = 2000;
-  server::TcpServer server(cluster, sopts);
-  std::printf("cluster up: %zu shards, port %u, cap %zu, deadlines %d/%d ms\n",
-              cluster.shard_count(), server.port(), sopts.max_connections,
-              sopts.read_idle_timeout_ms, sopts.write_timeout_ms);
+  server::TcpServer server(*cluster, sopts);
+  std::printf("cluster up: port %u, cap %zu, deadlines %d/%d ms\n", server.port(),
+              sopts.max_connections, sopts.read_idle_timeout_ms,
+              sopts.write_timeout_ms);
 
   std::vector<std::string> failures;
   auto gate = [&](bool ok, const std::string& what) {
@@ -222,19 +218,23 @@ int run() {
     }
   };
 
-  std::atomic<std::uint64_t> degraded{0}, batches_base{0}, batches_fault{0};
+  std::atomic<std::uint64_t> batches_warmup{0}, batches_base{0}, batches_fault{0};
   std::atomic<bool> client_error{false};
 
   // ---- phase 0: fault-free baseline -------------------------------------
+  // A discarded warm-up first (connections, caches, page faults), then the
+  // baseline with the same population and duration as the faulted phase,
+  // so the p99 bound below compares like with like.
   std::printf("\n-- phase 0: fault-free baseline --\n");
+  (void)run_population(server.port(), trace, boxes, 0.5, batches_warmup,
+                       client_error, {});
   const std::vector<double> base_us = run_population(
-      server.port(), trace, boxes, 0.8, degraded, batches_base, client_error, {});
+      server.port(), trace, boxes, kPhaseSeconds, batches_base, client_error, {});
   const double p99_base = percentile_or(base_us, 99.0);
   std::printf("baseline: %llu batches, p50 %.0f us, p99 %.0f us\n",
               static_cast<unsigned long long>(batches_base.load()),
               percentile_or(base_us, 50.0), p99_base);
   gate(!client_error.load(), "baseline population served without errors");
-  gate(degraded.load() == 0, "baseline replies are not degraded");
 
   // ---- phase 1: fault schedule ------------------------------------------
   std::printf("\n-- phase 1: fault schedule --\n");
@@ -244,16 +244,19 @@ int run() {
   server::ChaosProxy reader_proxy(pa);
 
   std::atomic<bool> trickle_ok{false};
+  bool read_only_under_poison = false;
+  server::RuleSpec spec;  // the WAL-chaos rule (benchmarking address space)
+  spec.box = 1 % boxes;
+  spec.rule.dst = parse_prefix("198.18.0.0/16");
+  spec.rule.egress_port = 0;
+  spec.rule.priority = 5;
   const std::vector<double> fault_us = run_population(
-      server.port(), trace, boxes, 2.5, degraded, batches_fault, client_error,
+      server.port(), trace, boxes, kPhaseSeconds, batches_fault, client_error,
       [&] {
-        // (a) one shard drops out; its queries reroute, resync re-admits it.
-        cluster.quarantine_shard(2);
-
-        // (b) slowloris: a client trickling 2 bytes every 5 ms must never
+        // (a) slowloris: a client trickling 2 bytes every 5 ms must never
         // trip the idle deadline (every byte resets the clock).  Runs before
         // the connection-cap burst so its connect cannot be shed; the
-        // connection stays open to be RSTed mid-stream in (e).
+        // connection stays open to be RSTed mid-stream in (d).
         trickle_proxy.set_trickle(2, 5);
         std::unique_ptr<LineClient> slow;
         try {
@@ -267,7 +270,7 @@ int run() {
         } catch (const std::exception&) {
         }
 
-        // (c) dead reader: a big batch whose reply back-pressures into the
+        // (b) dead reader: a big batch whose reply back-pressures into the
         // server's send buffer; the write deadline must free the thread.
         std::thread dead_reader([&] {
           try {
@@ -285,7 +288,7 @@ int run() {
           }
         });
 
-        // (d) connection-cap burst: 12 silent connects on top of the live
+        // (c) connection-cap burst: 12 silent connects on top of the live
         // population must shed at the door; the accepted ones sit silent
         // until the idle deadline 408s them.
         std::vector<std::unique_ptr<LineClient>> burst;
@@ -304,36 +307,24 @@ int run() {
         std::printf("burst of 12 silent connects: %zu shed/refused\n", shed_seen);
         burst.clear();
 
-        // (e) RST the trickled connection mid-stream; the server thread
+        // (d) RST the trickled connection mid-stream; the server thread
         // serving it must exit on the reset, not park.
         trickle_proxy.inject_rst();
         slow.reset();
         dead_reader.join();
 
-        // (f) the quarantined shard must resync and come back while the
-        // population keeps running.
-        wait_until([&] {
-          return cluster.shard_state(2) == server::ShardState::kHealthy;
-        }, 10000);
-
 #if defined(APC_FAULT_INJECTION)
-        // (g) WAL chaos: an ENOSPC burst is absorbed by retries; a
-        // persistent EIO poisons the WAL, flipping the owner shard
-        // read-only (updates 503, queries serve) until resync clears it.
+        // (e) WAL chaos: an ENOSPC burst is absorbed by retries; a
+        // persistent EIO poisons the WAL, making the cluster read-only
+        // (updates 503, queries serve) until a restart.
         auto& inj = util::FaultInjector::instance();
-        server::RuleSpec spec;
-        spec.box = 1 % boxes;  // owner shard 1
-        spec.rule.dst = parse_prefix("198.18.0.0/16");
-        spec.rule.egress_port = 0;
-        spec.rule.priority = 5;
-
         util::FaultPlan burst_plan;
         burst_plan.err = ENOSPC;
         burst_plan.count = 3;
         inj.arm("wal.append.fsync", burst_plan);
         bool retried_ok = false;
         try {
-          cluster.add_rule(spec);
+          cluster->add_rule(spec);
           retried_ok = true;
         } catch (const std::exception& e) {
           std::fprintf(stderr, "ENOSPC burst: %s\n", e.what());
@@ -345,50 +336,31 @@ int run() {
         poison_plan.err = EIO;
         inj.arm("wal.append.fsync", poison_plan);
         bool refused = false;
-        server::RuleSpec spec2 = spec;
-        spec2.rule.dst = parse_prefix("198.19.0.0/16");
         try {
-          cluster.remove_rule(spec);
+          cluster->remove_rule(spec);
         } catch (const Error& e) {
           refused = e.code() == ErrorCode::kUnavailable;
         }
         inj.disarm_all();
-        gate(refused, "poisoned WAL refuses owned updates with kUnavailable");
-        gate(cluster.shard_read_only(1 % kShards),
-             "poisoned shard is read-only");
-        bool other_ok = false;
+        gate(refused, "poisoned WAL refuses the update with kUnavailable");
+        read_only_under_poison = cluster->read_only();
+        gate(read_only_under_poison, "poisoned cluster is read-only");
+        bool later_refused = false;
         server::RuleSpec other = spec;
-        other.box = 2 % boxes;  // owner shard 2: its WAL is fine
         other.rule.dst = parse_prefix("198.19.128.0/17");
         try {
-          cluster.add_rule(other);
-          other_ok = true;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "healthy-owner update: %s\n", e.what());
+          cluster->add_rule(other);
+        } catch (const Error& e) {
+          later_refused = e.code() == ErrorCode::kUnavailable;
         }
-        gate(other_ok, "updates owned by healthy shards still apply");
-        cluster.quarantine_shard(1 % kShards);
-        const bool recovered = wait_until([&] {
-          return cluster.shard_state(1 % kShards) == server::ShardState::kHealthy &&
-                 !cluster.shard_read_only(1 % kShards);
-        }, 10000);
-        gate(recovered, "poisoned shard resyncs back to writable");
-        bool retry_ok = false;
-        try {
-          cluster.remove_rule(spec);
-          retry_ok = true;
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "post-resync update: %s\n", e.what());
-        }
-        gate(retry_ok, "refused update succeeds after resync");
+        gate(later_refused, "read-only cluster refuses later updates");
 #endif
       });
 
   const double p99_fault = percentile_or(fault_us, 99.0);
-  std::printf("under faults: %llu batches, %llu degraded, p50 %.0f us, "
-              "p99 %.0f us (baseline p99 %.0f us)\n",
+  std::printf("under faults: %llu batches, p50 %.0f us, p99 %.0f us "
+              "(baseline p99 %.0f us)\n",
               static_cast<unsigned long long>(batches_fault.load()),
-              static_cast<unsigned long long>(degraded.load()),
               percentile_or(fault_us, 50.0), p99_fault, p99_base);
 
   // ---- gates -------------------------------------------------------------
@@ -403,31 +375,45 @@ int run() {
                              std::to_string(slo) + " us)");
   gate(server.timeouts() > 0, "deadlines fired (server.timeouts > 0)");
   gate(server.sheds() > 0, "connection cap shed (server.sheds > 0)");
-  gate(cluster.resyncs() >= 1, "quarantined shard was re-admitted (resyncs >= 1)");
-  gate(cluster.shard_state(2) == server::ShardState::kHealthy,
-       "quarantined shard is healthy again");
   const bool drained = wait_until([&] { return server.live_sessions() == 0; }, 5000);
   gate(drained, "zero hung threads (live_sessions drained to 0, got " +
                     std::to_string(server.live_sessions()) + ")");
 
-  // Final clean batch: home routing restored, reply not degraded.
+  // Final batch: the service answers in full after the schedule.
   {
     LineClient fin(server.port());
     std::string out;
-    for (std::size_t i = 0; i < kShards * 4; ++i) {
+    for (std::size_t i = 0; i < 16; ++i) {
       out += server::format_query(static_cast<BoxId>(i % boxes), trace[i]);
       out += '\n';
     }
     out += "GO\n";
     fin.send(out);
     const std::string status = fin.read_line();
-    gate(status.rfind("201 ", 0) == 0 &&
-             status.find(" degraded=1") == std::string::npos,
-         "final batch is clean (201, not degraded): \"" + status + "\"");
+    gate(status.rfind("201 ", 0) == 0, "final batch is answered: \"" + status + "\"");
   }
 
-  const obs::MetricsSnapshot stats = cluster.stats();
+  const obs::MetricsSnapshot stats = cluster->stats();
   const auto* wal_retries = stats.find("wal.retries");
+  const double timeouts = static_cast<double>(server.timeouts());
+  const double sheds = static_cast<double>(server.sheds());
+  server.stop();
+
+#if defined(APC_FAULT_INJECTION)
+  // Restart on the same log: both journaled updates replay (the poisoned
+  // one's record reached the file), and the cluster accepts updates again.
+  cluster.reset();
+  try {
+    server::ShardedCluster restarted(w.data().net, copts);
+    gate(!restarted.read_only() && restarted.updates_applied() == 2,
+         "restart replays both journaled updates and is writable (" +
+             std::to_string(restarted.updates_applied()) + " replayed)");
+    restarted.add_rule(spec);
+    gate(true, "update after restart succeeds");
+  } catch (const std::exception& e) {
+    gate(false, std::string("restart on the poisoned log: ") + e.what());
+  }
+#endif
 
   BenchJson out("serve_chaos");
   out.row("chaos.p99_base_us", p99_base, "us", kHealthyClients);
@@ -436,16 +422,12 @@ int run() {
           kHealthyClients);
   out.row("chaos.batches_fault", static_cast<double>(batches_fault.load()), "count",
           kHealthyClients);
-  out.row("chaos.degraded_batches", static_cast<double>(degraded.load()), "count",
-          kHealthyClients);
-  out.row("chaos.timeouts", static_cast<double>(server.timeouts()), "count");
-  out.row("chaos.sheds", static_cast<double>(server.sheds()), "count");
-  out.row("chaos.resyncs", static_cast<double>(cluster.resyncs()), "count");
-  out.row("chaos.reroutes", static_cast<double>(cluster.reroutes()), "count");
+  out.row("chaos.timeouts", timeouts, "count");
+  out.row("chaos.sheds", sheds, "count");
   out.row("chaos.wal_retries", wal_retries ? wal_retries->value : 0.0, "count");
+  out.row("chaos.read_only_under_poison", read_only_under_poison ? 1.0 : 0.0, "bool");
   out.row("chaos.gate_failures", static_cast<double>(failures.size()), "count");
 
-  server.stop();
   std::filesystem::remove_all(wal_dir);
   if (!failures.empty()) {
     std::printf("\n%zu gate failure(s):\n", failures.size());

@@ -1,15 +1,16 @@
-// Closed-loop serving benchmark: 8 client threads hammer a 4-shard
-// ShardedCluster through the TCP front end over loopback, each pipelining
-// fixed-size batches of mixed C/Q lines and waiting for the full reply
-// before sending the next (closed loop), while one updater thread toggles a
-// forwarding rule through the same protocol.
+// Closed-loop serving benchmark: 8 client threads hammer the cluster
+// through the TCP front end over loopback, each pipelining fixed-size
+// batches of mixed C/Q lines and waiting for the full reply before sending
+// the next (closed loop), while one updater thread toggles a forwarding rule
+// through the same protocol.
 //
-// Every batch embeds two cross-shard probe queries whose answers must agree
-// under the epoch-consistency contract; a disagreement is counted as a
-// mixed-epoch batch and reported (the CI gate asserts it stays 0).
+// Every batch embeds two probe queries (one header from two ingress boxes)
+// whose answers the toggled rule never changes; a reply whose probe lines
+// differ from the reference classifier's is counted as a mixed-epoch batch
+// and reported (the CI gate asserts it stays 0).
 //
 // Emits BENCH_serve.json:
-//   serve.shards / serve.clients / serve.batches / serve.qps
+//   serve.clients / serve.batches / serve.qps
 //   serve.batch_p50_us / serve.batch_p99_us / serve.batch_max_us
 //   serve.epoch_final / serve.updates_applied / serve.mixed_epoch_batches
 #include <arpa/inet.h>
@@ -33,7 +34,6 @@ namespace {
 using bench::BenchJson;
 
 constexpr std::size_t kClients = 8;
-constexpr std::size_t kShards = 4;
 constexpr std::size_t kBatchLines = 64;
 
 /// Blocking loopback line client (mirrors the test client; the bench keeps
@@ -88,7 +88,7 @@ class LineClient {
 
 int run() {
   const datasets::Scale scale = bench::bench_scale();
-  bench::print_header("Closed-loop TCP serving (sharded cluster, loopback)");
+  bench::print_header("Closed-loop TCP serving (one engine, loopback)");
 
   bench::World w = bench::make_world(0, scale);
   Rng rng(99);
@@ -96,20 +96,15 @@ int run() {
   const BoxId boxes = static_cast<BoxId>(w.data().net.topology.box_count());
 
   server::ShardedCluster::Options copts;
-  copts.shards = kShards;
   copts.engine.num_threads = 2;
   server::ShardedCluster cluster(w.data().net, copts);
   server::TcpServer server(cluster, server::TcpServer::Options{});
-  std::printf("cluster up: %zu shards, port %u\n", cluster.shard_count(),
-              server.port());
+  std::printf("cluster up: port %u\n", server.port());
 
-  // The cross-shard consistency probe: one header queried from two ingress
-  // boxes that live on different shards.  Baseline answers come from the
-  // reference classifier; after any update the two answers may legitimately
-  // change TOGETHER — only a within-batch disagreement of derivation epoch
-  // (mismatched pair) indicates mixed epochs.  The updater toggles a rule
-  // that does NOT affect the probe header, so the probe answers must stay
-  // byte-identical throughout.
+  // The consistency probe: one header queried from two ingress boxes.
+  // Expected answers come from the reference classifier.  The updater
+  // toggles a rule that does NOT affect the probe header, so at every epoch
+  // the probe answers must stay byte-identical to the reference.
   const PacketHeader probe = trace[0];
   const BoxId probe_a = 0 % boxes, probe_b = 1 % boxes;
   const std::string probe_wire =
@@ -122,7 +117,7 @@ int run() {
 
   // The toggled rule lives in address space the generated FIBs never route
   // (198.18.0.0/15 is benchmarking space) so it perturbs predicates — a
-  // real publish on every shard — without changing any probe answer.
+  // real publish per update — without changing any probe answer.
   server::RuleSpec toggle;
   toggle.box = 2 % boxes;
   toggle.rule.dst = parse_prefix("198.18.0.0/16");
@@ -206,7 +201,6 @@ int run() {
               static_cast<unsigned long long>(mixed.load()));
 
   BenchJson out("serve");
-  out.row("serve.shards", static_cast<double>(kShards), "count", kClients);
   out.row("serve.clients", static_cast<double>(kClients), "count", kClients);
   out.row("serve.batches", static_cast<double>(batches.load()), "count", kClients);
   out.row("serve.qps", qps, "queries/s", kClients);

@@ -387,18 +387,29 @@ ApClassifier::RuleUpdateResult ApClassifier::insert_fib_rule(BoxId box,
   return move_region_to_port(box, region, rule.egress_port);
 }
 
+namespace {
+/// Index of the first rule in `fib` matching `rule` (prefix, egress port,
+/// effective priority), or fib.rules.size() when there is none.
+std::size_t find_fib_rule(const Fib& fib, const ForwardingRule& rule) {
+  for (std::size_t i = 0; i < fib.rules.size(); ++i)
+    if (fib.rules[i].dst == rule.dst && fib.rules[i].egress_port == rule.egress_port &&
+        fib.rules[i].effective_priority() == rule.effective_priority())
+      return i;
+  return fib.rules.size();
+}
+}  // namespace
+
+bool ApClassifier::has_fib_rule(BoxId box, const ForwardingRule& rule) const {
+  if (box >= net_.topology.box_count()) return false;
+  const Fib& fib = net_.fib(box);
+  return find_fib_rule(fib, rule) < fib.rules.size();
+}
+
 ApClassifier::RuleUpdateResult ApClassifier::remove_fib_rule(BoxId box,
                                                              const ForwardingRule& rule) {
   require(box < net_.topology.box_count(), "remove_fib_rule: bad box");
   Fib& fib = net_.fib(box);
-  std::size_t idx = fib.rules.size();
-  for (std::size_t i = 0; i < fib.rules.size(); ++i) {
-    if (fib.rules[i].dst == rule.dst && fib.rules[i].egress_port == rule.egress_port &&
-        fib.rules[i].effective_priority() == rule.effective_priority()) {
-      idx = i;
-      break;
-    }
-  }
+  const std::size_t idx = find_fib_rule(fib, rule);
   require(idx < fib.rules.size(), "remove_fib_rule: no matching rule");
   const bool fast = lpm_only(fib, rule);
   fib.rules.erase(fib.rules.begin() + static_cast<std::ptrdiff_t>(idx));

@@ -158,6 +158,9 @@ class ApClassifier {
   RuleUpdateResult insert_fib_rule(BoxId box, const ForwardingRule& rule);
   /// Removes the (first) matching FIB rule from `box`; throws if absent.
   RuleUpdateResult remove_fib_rule(BoxId box, const ForwardingRule& rule);
+  /// True when remove_fib_rule(box, rule) would find a rule to remove (same
+  /// prefix, egress port and effective priority).
+  bool has_fib_rule(BoxId box, const ForwardingRule& rule) const;
   /// Replaces the input ACL of (box, port) and updates predicates/tree.
   RuleUpdateResult set_input_acl(BoxId box, std::uint32_t port, Acl acl);
 

@@ -52,10 +52,10 @@ QueryEngine::QueryEngine(ApClassifier& clf, Options opts)
     }
   }
   if (restored)
-    snap_.store(std::move(restored), /*epoch=*/0, opts_.epoch_pin);
+    snap_.store(std::move(restored), /*epoch=*/0);
   else
     snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_),
-                /*epoch=*/0, opts_.epoch_pin);
+                /*epoch=*/0);
   // Discard any delta accumulated before the engine existed: the delta
   // consumed at the next republish must describe changes since THIS
   // snapshot, not since some earlier classifier state.
@@ -189,19 +189,14 @@ void QueryEngine::republish_locked() {
       use_delta = changed <= opts_.delta_max_dirty_fraction * live;
     }
   }
-  // Epoch tag for this publish: a pending writer override (the cluster's
-  // coordinated bump) or the previous epoch + 1.  Consumed exactly once.
-  const std::uint64_t epoch =
-      next_epoch_ ? *next_epoch_ : snap_.epoch() + 1;
-  next_epoch_.reset();
+  const std::uint64_t epoch = snap_.epoch() + 1;
   if (use_delta) {
     snap_.store(FlatSnapshot::build_delta(clf_, snapshot_options(opts_), &pool_,
                                           *prev, delta),
-                epoch, opts_.epoch_pin);
+                epoch);
     snapshot_delta_publishes_.add();
   } else {
-    snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_),
-                epoch, opts_.epoch_pin);
+    snap_.store(FlatSnapshot::build(clf_, snapshot_options(opts_), &pool_), epoch);
   }
   publish_count_.fetch_add(1, std::memory_order_relaxed);
   last_publish_ns_.store(steady_now_ns(), std::memory_order_relaxed);

@@ -120,13 +120,6 @@ class QueryEngine {
     /// apc::Error(kUnavailable) (the try_* variants return nullopt instead)
     /// rather than piling onto the pool.  0 = unbounded.
     std::size_t max_pending_batches = 0;
-    /// Epoch pinning (see server/cluster.hpp): when set, each publish keeps
-    /// the retiring snapshot alive alongside the new one, so an epoch-pinned
-    /// reader (snapshot_at) can still acquire the previous epoch while a
-    /// multi-shard publication is in flight.  Off by default — a standalone
-    /// engine should release retiring snapshots as soon as readers drop
-    /// them, not hold a second copy of every frozen state.
-    bool epoch_pin = false;
   };
 
   /// Builds the initial snapshot from `clf`.  The engine keeps a reference:
@@ -162,13 +155,12 @@ class QueryEngine {
   std::optional<std::vector<Behavior>> try_query_batch(
       const std::vector<PacketHeader>& hs, BoxId ingress) const;
 
-  // ---- Epoch-pinned read side (the sharded cluster's entry points) ----
-  // A cross-shard batch must never mix snapshot versions, so the cluster
-  // pins one epoch, resolves it to a concrete snapshot per shard
-  // (snapshot_at), and fans the shard's slice of the batch out against that
-  // exact snapshot.  These run the same admission (RAII permit — released
-  // on every path, including a worker-task throw), pool fan-out, and batch
-  // observability as the unpinned variants.
+  // ---- Pinned read side (the serving cluster's entry points) ----
+  // A batch that mixes classifies and per-ingress queries spans several
+  // engine calls, so the cluster pins one snapshot (pin()) and runs every
+  // call against that exact snapshot.  These run the same admission (RAII
+  // permit — released on every path, including a worker-task throw), pool
+  // fan-out, and batch observability as the unpinned variants.
   /// Fan `hs[0..n)` across the pool against caller-pinned snapshot `s`
   /// (which the caller must keep alive).  nullopt when saturated.
   std::optional<std::vector<AtomId>> try_classify_batch_on(
@@ -178,24 +170,16 @@ class QueryEngine {
       const FlatSnapshot& s, const PacketHeader* hs, std::size_t n,
       BoxId ingress) const;
 
-  /// Epoch of the currently published snapshot.  Publishes tag the snapshot
-  /// with set_next_publish_epoch()'s value when one is pending, otherwise
-  /// the previous epoch + 1 — monotonic either way.  The initial snapshot
-  /// is epoch 0.
+  /// Epoch of the currently published snapshot: 0 for the initial one,
+  /// +1 per publish.
   std::uint64_t snapshot_epoch() const { return snap_.epoch(); }
-  /// The published snapshot tagged `epoch`: the current one, or — with
-  /// Options::epoch_pin — the retained previous one.  nullptr when that
-  /// epoch is no longer (or not yet) published; the caller re-pins.
-  std::shared_ptr<const FlatSnapshot> snapshot_at(std::uint64_t epoch) const {
-    return snap_.at(epoch);
-  }
-  /// Writer-side epoch hook: the next publish (only) is tagged `e` instead
-  /// of auto-incrementing.  The cluster calls this under its own update
-  /// serialization right before the mutation it forwards to update().
-  void set_next_publish_epoch(std::uint64_t e) {
-    std::lock_guard<std::mutex> lock(writer_mu_);
-    next_epoch_ = e;
-  }
+  /// The current snapshot together with its epoch, read under one slot
+  /// lock, so the pair always names the same publish.
+  struct Pinned {
+    std::shared_ptr<const FlatSnapshot> snapshot;
+    std::uint64_t epoch = 0;
+  };
+  Pinned pin() const { return snap_.pin(); }
 
   // ---- Write side (serialized; rebuild-and-swap publication) ----
   AddPredicateResult add_predicate(bdd::Bdd p,
@@ -312,9 +296,7 @@ class QueryEngine {
   /// the lock; store() swaps it and drops the old snapshot outside the
   /// lock, so a snapshot's (potentially large) teardown never blocks
   /// readers acquiring the new one.  Each published snapshot carries an
-  /// epoch tag; with retain_prev the retiring snapshot stays resolvable by
-  /// its epoch (at()) until the publish after next — the window an
-  /// epoch-pinned cluster reader needs.
+  /// epoch tag, read together with the pointer by pin().
   class SnapshotSlot {
    public:
     std::shared_ptr<const FlatSnapshot> load() const {
@@ -325,35 +307,20 @@ class QueryEngine {
       std::lock_guard<std::mutex> lock(mu_);
       return epoch_;
     }
-    std::shared_ptr<const FlatSnapshot> at(std::uint64_t epoch) const {
+    Pinned pin() const {
       std::lock_guard<std::mutex> lock(mu_);
-      if (ptr_ && epoch == epoch_) return ptr_;
-      if (prev_ && epoch == prev_epoch_) return prev_;
-      return nullptr;
+      return {ptr_, epoch_};
     }
-    void store(std::shared_ptr<const FlatSnapshot> next, std::uint64_t epoch,
-               bool retain_prev) {
-      std::shared_ptr<const FlatSnapshot> old_prev, old_cur;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        old_prev.swap(prev_);
-        if (retain_prev) {
-          prev_ = std::move(ptr_);
-          prev_epoch_ = epoch_;
-        } else {
-          old_cur.swap(ptr_);
-        }
-        ptr_ = std::move(next);
-        epoch_ = epoch;
-      }
-    }
+    void store(std::shared_ptr<const FlatSnapshot> next, std::uint64_t epoch) {
+      std::lock_guard<std::mutex> lock(mu_);
+      ptr_.swap(next);  // `next` now holds the retiring snapshot
+      epoch_ = epoch;
+    }  // the lock is released before `next` drops the retiring snapshot
 
    private:
     mutable std::mutex mu_;
     std::shared_ptr<const FlatSnapshot> ptr_;
     std::uint64_t epoch_ = 0;
-    std::shared_ptr<const FlatSnapshot> prev_;
-    std::uint64_t prev_epoch_ = 0;
   };
 
   ApClassifier& clf_;
@@ -362,10 +329,6 @@ class QueryEngine {
   mutable std::mutex writer_mu_;
   SnapshotSlot snap_;
   std::atomic<std::uint64_t> publish_count_{0};
-  /// One-shot epoch override for the next publish (see
-  /// set_next_publish_epoch); nullopt = auto-increment.  Guarded by
-  /// writer_mu_.
-  std::optional<std::uint64_t> next_epoch_;
 
   // Batch-granular probes only: one timer + two histogram records per
   // *batch*, never per packet, so the per-query hot path stays untouched.

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
-#include <cstdio>
-#include <thread>
+#include <filesystem>
 
 #include "io/line_parse.hpp"
 #include "util/fault_injection.hpp"
@@ -14,9 +13,7 @@ namespace apc::server {
 
 namespace {
 
-/// WAL record: "<seq> <A|R> fib <box> <prefix> <port> <prio>".  The global
-/// sequence number lets recovery merge the per-shard files back into the
-/// original total order.
+/// WAL record: "<seq> <A|R> fib <box> <prefix> <port> <prio>".
 std::string make_record(std::uint64_t seq, bool add, const RuleSpec& spec) {
   RuleSpec canon = spec;
   if (canon.rule.priority < 0)
@@ -24,16 +21,16 @@ std::string make_record(std::uint64_t seq, bool add, const RuleSpec& spec) {
   return std::to_string(seq) + ' ' + format_rule(add, canon);
 }
 
-struct ReplayRecord {
+struct Record {
   std::uint64_t seq = 0;
   bool add = false;
   RuleSpec spec;
 };
 
-ReplayRecord parse_record(std::string_view rec, std::size_t recno) {
+Record parse_record(std::string_view rec, std::size_t recno) {
   const std::size_t sp = rec.find(' ');
   if (sp == std::string_view::npos) io::parse_fail(recno, "WAL record missing sequence");
-  ReplayRecord out;
+  Record out;
   const std::string_view seq_tok = rec.substr(0, sp);
   // Sequence numbers are 64-bit; parse_uint is 32-bit-bounded, so parse
   // with the same strictness here: digits only, no overflow.
@@ -51,443 +48,173 @@ ReplayRecord parse_record(std::string_view rec, std::size_t recno) {
   return out;
 }
 
-void apply_record(ApClassifier& clf, bool add, const RuleSpec& spec) {
+/// Refuses a WAL directory written by the replicated layout: its
+/// shard<i>.wal files (i >= 1) hold acknowledged updates that replaying
+/// shard0.wal alone would silently drop.
+void reject_replica_wals(const std::string& dir) {
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() <= 9 || name.rfind("shard", 0) != 0 ||
+        name.compare(name.size() - 4, 4, ".wal") != 0)
+      continue;
+    const char* const first = name.data() + 5;
+    const char* const last = name.data() + name.size() - 4;
+    std::uint64_t i = 0;
+    const auto [ptr, err] = std::from_chars(first, last, i);
+    if (err == std::errc{} && ptr == last && i >= 1)
+      throw Error(ErrorCode::kInvalidArgument,
+                  "ShardedCluster: " + it->path().string() +
+                      " was written by a multi-replica cluster; replaying only "
+                      "shard0.wal would drop its updates");
+  }
+}
+
+/// Rejects an update the classifier would refuse, BEFORE it is journaled:
+/// a logged record that cannot apply would fail every replay of the log.
+void check_update(const ApClassifier& clf, bool add, const RuleSpec& spec) {
+  const NetworkModel& net = clf.network();
+  require(spec.box < net.topology.box_count(), ErrorCode::kInvalidArgument,
+          "cluster: update names an unknown box");
   if (add)
-    clf.insert_fib_rule(spec.box, spec.rule);
+    require(spec.rule.egress_port < net.topology.box(spec.box).ports.size(),
+            ErrorCode::kInvalidArgument, "cluster: rule references a missing port");
   else
-    clf.remove_fib_rule(spec.box, spec.rule);
+    require(clf.has_fib_rule(spec.box, spec.rule), ErrorCode::kInvalidArgument,
+            "cluster: remove names no installed rule");
+}
+
+Error batch_shed() {
+  return Error(ErrorCode::kUnavailable,
+               "cluster: batch shed (engine admission cap reached); retry later");
 }
 
 }  // namespace
 
-const char* shard_state_name(ShardState s) {
-  switch (s) {
-    case ShardState::kHealthy: return "healthy";
-    case ShardState::kDegraded: return "degraded";
-    case ShardState::kQuarantined: return "quarantined";
-  }
-  return "unknown";
-}
-
 ShardedCluster::ShardedCluster(const NetworkModel& net, Options opts)
-    : opts_(std::move(opts)), net_(net) {
-  require(opts_.shards > 0, "ShardedCluster: zero shards");
-  require(opts_.breaker_degrade_after > 0 &&
-              opts_.breaker_quarantine_after >= opts_.breaker_degrade_after,
-          "ShardedCluster: breaker thresholds must satisfy 0 < degrade <= quarantine");
-  // The consistency protocol depends on retiring snapshots staying
-  // resolvable by epoch while a publication walks the shards.
-  opts_.engine.epoch_pin = true;
+    : opts_(std::move(opts)) {
+  require(opts_.shards == 1, ErrorCode::kInvalidArgument,
+          "ShardedCluster: shards must be 1 (the cluster holds one engine)");
   opts_.engine.snapshot_path.clear();  // see Options::engine
-  shards_.resize(opts_.shards);
-
-  // Open the per-shard WALs first (serially: cheap, and recovery reports
-  // compose deterministically), collecting surviving records.
-  std::vector<std::string> raw;
-  for (std::size_t i = 0; i < opts_.shards; ++i) {
-    shards_[i] = std::make_unique<Shard>();
-    if (!opts_.wal_dir.empty()) {
-      std::vector<std::string> recs;
-      shards_[i]->wal = std::make_unique<io::Wal>(
-          opts_.wal_dir + "/shard" + std::to_string(i) + ".wal", opts_.wal, &recs);
-      raw.insert(raw.end(), recs.begin(), recs.end());
+  mgr_ = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
+  clf_ = std::make_unique<ApClassifier>(net, mgr_, opts_.classifier);
+  if (!opts_.wal_dir.empty()) {
+    reject_replica_wals(opts_.wal_dir);
+    std::vector<std::string> records;
+    wal_ = std::make_unique<io::Wal>(opts_.wal_dir + "/shard0.wal", opts_.wal, &records);
+    // Replay onto the classifier BEFORE the engine exists, so the initial
+    // publish (epoch 0) already reflects the whole journal.
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const Record r = parse_record(records[i], i + 1);
+      next_seq_ = std::max(next_seq_, r.seq + 1);
+      if (r.add)
+        clf_->insert_fib_rule(r.spec.box, r.spec.rule);
+      else
+        clf_->remove_fib_rule(r.spec.box, r.spec.rule);
     }
+    updates_applied_.store(records.size(), std::memory_order_relaxed);
   }
-  std::vector<ReplayRecord> replay;
-  replay.reserve(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    replay.push_back(parse_record(raw[i], i + 1));
-  std::sort(replay.begin(), replay.end(),
-            [](const ReplayRecord& a, const ReplayRecord& b) { return a.seq < b.seq; });
-  for (const ReplayRecord& r : replay) next_seq_ = std::max(next_seq_, r.seq + 1);
-  update_log_.reserve(replay.size());
-  for (const ReplayRecord& r : replay) update_log_.push_back({r.seq, r.add, r.spec});
-
-  // Build the replicas in parallel — each shard's BDD manager, classifier,
-  // WAL replay, and initial snapshot are independent of every other
-  // shard's.  Replay happens on the classifier BEFORE the engine exists, so
-  // the initial publish (epoch 0) already reflects the whole journal.
-  std::vector<std::thread> builders;
-  std::vector<std::exception_ptr> errors(opts_.shards);
-  builders.reserve(opts_.shards);
-  for (std::size_t i = 0; i < opts_.shards; ++i) {
-    builders.emplace_back([&, i] {
-      try {
-        auto rep = std::make_shared<Replica>();
-        rep->mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
-        rep->clf = std::make_unique<ApClassifier>(net_, rep->mgr, opts_.classifier);
-        for (const ReplayRecord& r : replay) apply_record(*rep->clf, r.add, r.spec);
-        rep->engine = std::make_unique<engine::QueryEngine>(*rep->clf, opts_.engine);
-        shards_[i]->replica = std::move(rep);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : builders) t.join();
-  for (auto& e : errors)
-    if (e) std::rethrow_exception(e);
-  updates_applied_.store(replay.size(), std::memory_order_relaxed);
+  engine_ = std::make_shared<engine::QueryEngine>(*clf_, opts_.engine);
 }
 
-ShardedCluster::~ShardedCluster() {
-  stopping_.store(true, std::memory_order_release);
-  {
-    // Pair with the wait_for predicate so no resync sleeper misses the flag.
-    std::lock_guard<std::mutex> lock(stop_mu_);
-  }
-  stop_cv_.notify_all();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(resync_mu_);
-    threads.swap(resync_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
-}
-
-std::shared_ptr<ShardedCluster::Replica> ShardedCluster::replica_ref(
-    std::size_t i) const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return shards_[i]->replica;
-}
-
-std::shared_ptr<const engine::QueryEngine> ShardedCluster::replica_engine(
-    std::size_t i) const {
-  std::shared_ptr<Replica> rep = replica_ref(i);
-  // Aliasing ctor: the engine pointer rides on the replica's lifetime, so a
-  // concurrent resync swap cannot free it under the caller.
-  return std::shared_ptr<const engine::QueryEngine>(rep, rep->engine.get());
-}
-
-ShardedCluster::PinnedView ShardedCluster::pin() const {
-  // Loop until one epoch is resolvable on every non-quarantined shard.  At
-  // any instant those shards hold epochs {E, E+1} for the cluster epoch E,
-  // and epoch_pin keeps a shard's E snapshot alive after it publishes E+1 —
-  // so the only way a round fails is a full publication completing
-  // mid-scan, which just means the next round pins the newer epoch.
-  PinnedView view;
-  for (;;) {
-    view.epoch = epoch();
-    view.snaps.assign(shards_.size(), nullptr);
-    view.engines.assign(shards_.size(), nullptr);
-    bool ok = true;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (shards_[i]->state.load(std::memory_order_acquire) ==
-          ShardState::kQuarantined)
-        continue;  // out of rotation; run_batch reroutes its traffic
-      auto eng = replica_engine(i);
-      auto s = eng->snapshot_at(view.epoch);
-      if (!s) {
-        ok = false;
-        break;
-      }
-      view.snaps[i] = std::move(s);
-      view.engines[i] = std::move(eng);
-    }
-    if (ok) return view;  // possibly with zero shards: every one quarantined
-    std::this_thread::yield();
-  }
-}
-
-bool ShardedCluster::execute_slice(const PinnedView& view, std::size_t exec,
-                                   const std::vector<std::size_t>& classify_ix,
-                                   const std::vector<std::size_t>& query_ix,
-                                   const std::vector<BatchItem>& items,
-                                   BatchResult& out) const {
-  const engine::QueryEngine& eng = *view.engines[exec];
-  const engine::FlatSnapshot& snap = *view.snaps[exec];
-  std::vector<PacketHeader> hs;
-  try {
-    if (!classify_ix.empty()) {
-      hs.reserve(classify_ix.size());
-      for (const std::size_t i : classify_ix) hs.push_back(items[i].header);
-      auto atoms = eng.try_classify_batch_on(snap, hs.data(), hs.size());
-      if (!atoms) return false;  // shed
-      for (std::size_t k = 0; k < classify_ix.size(); ++k)
-        out.lines[classify_ix[k]] = "A " + std::to_string((*atoms)[k]);
-    }
-    // Queries, one engine call per distinct ingress (query_ix arrives
-    // sorted by ingress from run_batch).
-    std::size_t start = 0;
-    while (start < query_ix.size()) {
-      std::size_t end = start;
-      const BoxId ingress = items[query_ix[start]].ingress;
-      while (end < query_ix.size() && items[query_ix[end]].ingress == ingress)
-        ++end;
-      hs.clear();
-      for (std::size_t k = start; k < end; ++k)
-        hs.push_back(items[query_ix[k]].header);
-      auto behaviors = eng.try_query_batch_on(snap, hs.data(), hs.size(), ingress);
-      if (!behaviors) return false;  // shed
-      for (std::size_t k = start; k < end; ++k)
-        out.lines[query_ix[k]] = format_behavior_summary((*behaviors)[k - start]);
-      start = end;
-    }
-  } catch (const std::exception&) {
-    return false;  // breaker input; the caller reroutes or throws
-  }
-  return true;
+std::shared_ptr<const engine::QueryEngine> ShardedCluster::shard(std::size_t i) const {
+  require(i == 0, ErrorCode::kInvalidArgument,
+          "ShardedCluster::shard: the cluster holds one engine (index 0)");
+  return engine_;
 }
 
 ShardedCluster::BatchResult ShardedCluster::run_batch(
     const std::vector<BatchItem>& items) const {
-  const PinnedView view = pin();
+  const auto t0 = std::chrono::steady_clock::now();
+  if (util::fault_fires("cluster.batch"))
+    throw Error(ErrorCode::kInternal, "cluster: injected batch fault");
+  const engine::QueryEngine::Pinned pinned = engine_->pin();
+  const engine::FlatSnapshot& snap = *pinned.snapshot;
   BatchResult out;
-  out.epoch = view.epoch;
+  out.epoch = pinned.epoch;
   out.lines.resize(items.size());
 
-  std::vector<std::size_t> healthy;  // shards with a pinned snapshot
-  for (std::size_t i = 0; i < shards_.size(); ++i)
-    if (view.snaps[i]) healthy.push_back(i);
-  if (healthy.empty())
-    throw Error(ErrorCode::kUnavailable, "cluster: every shard is quarantined");
+  // Classifies run as one engine call; queries as one call per distinct
+  // ingress, so they are grouped by ingress (stable within a group).
+  std::vector<std::size_t> classify_ix, query_ix;
+  for (std::size_t i = 0; i < items.size(); ++i)
+    (items[i].is_query ? query_ix : classify_ix).push_back(i);
+  std::sort(query_ix.begin(), query_ix.end(), [&](std::size_t a, std::size_t b) {
+    return items[a].ingress != items[b].ingress ? items[a].ingress < items[b].ingress
+                                                : a < b;
+  });
 
-  // Group item indices by executing shard: classifies round-robin over the
-  // healthy shards, queries to their home shard — or a deterministic
-  // healthy stand-in (full replication makes any shard an oracle) when the
-  // home is quarantined, which degrades the reply.
-  std::vector<std::vector<std::size_t>> classify_ix(shards_.size());
-  std::vector<std::vector<std::size_t>> query_ix(shards_.size());
-  std::size_t rr = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!items[i].is_query) {
-      classify_ix[healthy[rr++ % healthy.size()]].push_back(i);
-      continue;
-    }
-    std::size_t exec = shard_of(items[i].ingress);
-    if (!view.snaps[exec]) {
-      exec = healthy[exec % healthy.size()];
-      out.degraded = true;
-    }
-    query_ix[exec].push_back(i);
+  std::vector<PacketHeader> hs;
+  if (!classify_ix.empty()) {
+    hs.reserve(classify_ix.size());
+    for (const std::size_t i : classify_ix) hs.push_back(items[i].header);
+    auto atoms = engine_->try_classify_batch_on(snap, hs.data(), hs.size());
+    if (!atoms) throw batch_shed();
+    for (std::size_t k = 0; k < classify_ix.size(); ++k)
+      out.lines[classify_ix[k]] = "A " + std::to_string((*atoms)[k]);
   }
-  for (auto& qix : query_ix)
-    std::sort(qix.begin(), qix.end(), [&](std::size_t a, std::size_t b) {
-      return items[a].ingress != items[b].ingress
-                 ? items[a].ingress < items[b].ingress
-                 : a < b;
-    });
-
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (classify_ix[s].empty() && query_ix[s].empty()) continue;
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool injected = util::fault_fires("cluster.shard.batch");
-    if (!injected && execute_slice(view, s, classify_ix[s], query_ix[s], items, out)) {
-      note_shard_success(s);
-      shards_[s]->batch_ns.record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-      continue;
-    }
-    // This shard shed or failed mid-batch: trip its breaker and re-run its
-    // whole slice on another pinned replica (reads are idempotent, and the
-    // stand-in answers from the SAME epoch, so the reply stays consistent).
-    note_shard_failure(s);
-    bool rerouted = false;
-    for (std::size_t off = 1; off < shards_.size() && !rerouted; ++off) {
-      const std::size_t t = (s + off) % shards_.size();
-      if (!view.snaps[t] || t == s) continue;
-      if (execute_slice(view, t, classify_ix[s], query_ix[s], items, out)) {
-        note_shard_success(t);
-        rerouted = true;
-      } else {
-        note_shard_failure(t);
-      }
-    }
-    if (!rerouted)
-      throw Error(ErrorCode::kUnavailable,
-                  "cluster: shard " + std::to_string(s) +
-                      " failed the batch and no healthy replica could take it");
-    out.degraded = true;
+  for (std::size_t start = 0, end = 0; start < query_ix.size(); start = end) {
+    const BoxId ingress = items[query_ix[start]].ingress;
+    hs.clear();
+    for (end = start; end < query_ix.size() && items[query_ix[end]].ingress == ingress;
+         ++end)
+      hs.push_back(items[query_ix[end]].header);
+    auto behaviors = engine_->try_query_batch_on(snap, hs.data(), hs.size(), ingress);
+    if (!behaviors) throw batch_shed();
+    for (std::size_t k = start; k < end; ++k)
+      out.lines[query_ix[k]] = format_behavior_summary((*behaviors)[k - start]);
   }
-  if (out.degraded) reroutes_.fetch_add(1, std::memory_order_relaxed);
+  batch_ns_.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
   return out;
-}
-
-void ShardedCluster::note_shard_success(std::size_t i) const {
-  Shard& sh = *shards_[i];
-  sh.failures.store(0, std::memory_order_relaxed);
-  ShardState expected = ShardState::kDegraded;
-  sh.state.compare_exchange_strong(expected, ShardState::kHealthy,
-                                   std::memory_order_acq_rel);
-}
-
-void ShardedCluster::note_shard_failure(std::size_t i) const {
-  Shard& sh = *shards_[i];
-  const std::size_t f = sh.failures.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (f >= opts_.breaker_quarantine_after) {
-    quarantine_shard(i);
-  } else if (f >= opts_.breaker_degrade_after) {
-    ShardState expected = ShardState::kHealthy;
-    sh.state.compare_exchange_strong(expected, ShardState::kDegraded,
-                                     std::memory_order_acq_rel);
-  }
-}
-
-void ShardedCluster::quarantine_shard(std::size_t i) const {
-  require(i < shards_.size(), ErrorCode::kInvalidArgument,
-          "quarantine_shard: shard index out of range");
-  Shard& sh = *shards_[i];
-  if (sh.state.exchange(ShardState::kQuarantined, std::memory_order_acq_rel) !=
-      ShardState::kQuarantined)
-    quarantines_.fetch_add(1, std::memory_order_relaxed);
-  bool expected = false;
-  if (!sh.resync_active.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel))
-    return;  // a resync is already running for this shard
-  std::lock_guard<std::mutex> lock(resync_mu_);
-  if (stopping_.load(std::memory_order_acquire)) {
-    // Checked under resync_mu_ so the destructor (which sets stopping_
-    // before swapping the thread list out) can never miss a new thread.
-    sh.resync_active.store(false, std::memory_order_release);
-    return;
-  }
-  resync_threads_.emplace_back([this, i] { resync_loop(i); });
-}
-
-void ShardedCluster::resync_loop(std::size_t i) const {
-  Shard& sh = *shards_[i];
-  for (;;) {
-    util::Backoff backoff(opts_.resync_backoff, 0x7e53ca11ull ^ i);
-    bool readmitted = false;
-    for (;;) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      try {
-        resync_once(i);
-        resyncs_.fetch_add(1, std::memory_order_relaxed);
-        readmitted = true;
-        break;
-      } catch (const std::exception&) {
-        resync_failures_.fetch_add(1, std::memory_order_relaxed);
-        if (backoff.exhausted()) break;  // give up: stays quarantined
-        std::unique_lock<std::mutex> lock(stop_mu_);
-        stop_cv_.wait_for(lock, backoff.next_delay(), [this] {
-          return stopping_.load(std::memory_order_acquire);
-        });
-      }
-    }
-    sh.resync_active.store(false, std::memory_order_release);
-    // A quarantine_shard() racing the tail of this loop found
-    // resync_active still true and spawned nothing — pick it up here
-    // instead of stranding the shard.  Only after a SUCCESSFUL round:
-    // an exhausted backoff must stay quarantined, not spin.
-    if (!readmitted || stopping_.load(std::memory_order_acquire)) return;
-    if (sh.state.load(std::memory_order_acquire) != ShardState::kQuarantined)
-      return;
-    bool expected = false;
-    if (!sh.resync_active.compare_exchange_strong(expected, true,
-                                                  std::memory_order_acq_rel))
-      return;
-  }
-}
-
-void ShardedCluster::resync_once(std::size_t i) const {
-  Shard& sh = *shards_[i];
-  // Phase 1 — offline, no locks held: rebuild a replica from the network
-  // model and a prefix snapshot of the update log.  This is the expensive
-  // part (full AP classifier construction); updates and queries proceed.
-  std::vector<LogRecord> prefix;
-  {
-    std::lock_guard<std::mutex> lock(update_mu_);
-    prefix = update_log_;
-  }
-  auto rep = std::make_shared<Replica>();
-  rep->mgr = std::make_shared<bdd::BddManager>(HeaderLayout::kBits);
-  rep->clf = std::make_unique<ApClassifier>(net_, rep->mgr, opts_.classifier);
-  for (const LogRecord& r : prefix) apply_record(*rep->clf, r.add, r.spec);
-
-  // Phase 2 — under the update lock: replay the suffix that landed during
-  // phase 1, rewrite this shard's WAL from the authoritative in-memory log
-  // (dropping any unacknowledged frame a poisoned append left on disk),
-  // publish at the current cluster epoch, and swap the replica in.
-  std::lock_guard<std::mutex> lock(update_mu_);
-  for (std::size_t k = prefix.size(); k < update_log_.size(); ++k)
-    apply_record(*rep->clf, update_log_[k].add, update_log_[k].spec);
-  if (!opts_.wal_dir.empty()) {
-    const std::string path = opts_.wal_dir + "/shard" + std::to_string(i) + ".wal";
-    // Updates this shard owns stay refused until the fresh log is in
-    // place — a throw mid-rewrite must not leave an append-able gap.
-    sh.read_only.store(true, std::memory_order_release);
-    sh.wal.reset();
-    std::remove(path.c_str());
-    auto wal = std::make_unique<io::Wal>(path, opts_.wal);
-    for (const LogRecord& r : update_log_)
-      if (shard_of(r.spec.box) == i) wal->append(make_record(r.seq, r.add, r.spec));
-    sh.wal = std::move(wal);
-  }
-  rep->engine = std::make_unique<engine::QueryEngine>(*rep->clf, opts_.engine);
-  // Tag the republish with the cluster epoch so pin() resolves this shard
-  // immediately on re-admission (the engine's initial publish is epoch 0).
-  rep->engine->set_next_publish_epoch(epoch_.load(std::memory_order_relaxed));
-  rep->engine->update([](ApClassifier&) {});
-  {
-    std::lock_guard<std::mutex> swap_lock(swap_mu_);
-    sh.replica = std::move(rep);
-  }
-  sh.read_only.store(false, std::memory_order_release);
-  sh.failures.store(0, std::memory_order_relaxed);
-  sh.state.store(ShardState::kHealthy, std::memory_order_release);
 }
 
 std::uint64_t ShardedCluster::apply_update(bool add, const RuleSpec& spec) {
   std::lock_guard<std::mutex> lock(update_mu_);
-  const std::size_t owner = shard_of(spec.box);
-  Shard& osh = *shards_[owner];
-  if (osh.read_only.load(std::memory_order_acquire))
+  if (read_only())
     throw Error(ErrorCode::kUnavailable,
-                "cluster: shard " + std::to_string(owner) +
-                    " is read-only (WAL poisoned; resync pending), update refused");
-  const std::uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
-  // Journal before mutate (WAL discipline): the owner shard's log gets the
-  // record with the global sequence number, fsynced per WalOptions.  The
-  // sequence is consumed even when the append fails — a failed-but-
-  // possibly-durable frame must never share its number with a later,
-  // different record (recovery would replay both); gaps are harmless.
+                "cluster: read-only until restart (WAL poisoned or an update "
+                "failed after journaling); update refused");
+  check_update(*clf_, add, spec);
+  // Journal before mutate.  The sequence is consumed even when the append
+  // fails: a failed-but-possibly-durable frame must never share its number
+  // with a later, different record.  Gaps are harmless.
   const std::uint64_t seq = next_seq_++;
-  if (!opts_.wal_dir.empty() && osh.wal) {
+  if (wal_) {
     try {
-      osh.wal->append(make_record(seq, add, spec));
+      wal_->append(make_record(seq, add, spec));
     } catch (const Error& e) {
-      if (osh.wal->poisoned()) {
-        // Durability of this shard's acked records is now unknown: flip it
-        // read-only (updates it owns get 503, queries keep serving) until
-        // a resync rewrites the log from the in-memory history.
-        osh.read_only.store(true, std::memory_order_release);
-        wal_poisonings_.fetch_add(1, std::memory_order_relaxed);
-        throw Error(ErrorCode::kUnavailable,
-                    "cluster: WAL poisoned, shard " + std::to_string(owner) +
-                        " now read-only: " + e.what());
-      }
-      throw;  // transient budget exhausted: update refused, caller may retry
+      if (!wal_->poisoned()) throw;  // transient budget exhausted: retry later
+      read_only_.store(true, std::memory_order_release);
+      wal_poisonings_.fetch_add(1, std::memory_order_relaxed);
+      throw Error(ErrorCode::kUnavailable,
+                  std::string("cluster: WAL poisoned, read-only until restart; "
+                              "this update's outcome is unknown until then (its "
+                              "record may already be on disk): ") +
+                      e.what());
     }
   }
-  update_log_.push_back({seq, add, spec});
-  // Tag then mutate, shard by shard.  A reader that lands mid-walk sees a
-  // mix of old-epoch and new-epoch shards; pin() resolves the OLD epoch
-  // until the last shard publishes and epoch_ advances below.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = *shards_[i];
-    if (sh.state.load(std::memory_order_acquire) == ShardState::kQuarantined)
-      continue;  // resync replays update_log_; don't touch a retiring replica
-    const std::shared_ptr<Replica> rep = replica_ref(i);
-    try {
-      rep->engine->set_next_publish_epoch(next);
-      if (add)
-        rep->engine->insert_fib_rule(spec.box, spec.rule);
-      else
-        rep->engine->remove_fib_rule(spec.box, spec.rule);
-    } catch (const std::exception&) {
-      // A replica that cannot apply an update is divergent — pull it from
-      // rotation now and let resync rebuild it from the log.  The update
-      // itself proceeds on the other replicas.
-      quarantine_shard(i);
-    }
+  try {
+    if (util::fault_fires("cluster.update"))
+      throw Error(ErrorCode::kInternal, "cluster: injected update fault");
+    if (add)
+      engine_->insert_fib_rule(spec.box, spec.rule);
+    else
+      engine_->remove_fib_rule(spec.box, spec.rule);
+  } catch (const std::exception& e) {
+    // The record is journaled but memory may not reflect it: only a restart
+    // that replays the log brings the two back together.
+    read_only_.store(true, std::memory_order_release);
+    throw Error(ErrorCode::kUnavailable,
+                std::string("cluster: update failed after journaling, read-only "
+                            "until restart: ") +
+                    e.what());
   }
-  epoch_.store(next, std::memory_order_release);
   updates_applied_.fetch_add(1, std::memory_order_relaxed);
-  return next;
+  return engine_->snapshot_epoch();
 }
 
 std::uint64_t ShardedCluster::add_rule(const RuleSpec& spec) {
@@ -499,85 +226,42 @@ std::uint64_t ShardedCluster::remove_rule(const RuleSpec& spec) {
 }
 
 obs::MetricsSnapshot ShardedCluster::stats() const {
-  // Under the update lock: shard engine registries include classifier
-  // callback rows that must not race a mutation.
+  // Under the update lock: the engine registry includes classifier callback
+  // rows that must not race a mutation.
   std::lock_guard<std::mutex> lock(update_mu_);
   obs::MetricsRegistry reg;
   reg.register_fn("cluster.epoch",
                   [this] { return static_cast<double>(epoch()); }, "count");
-  reg.register_fn("cluster.shards",
-                  [this] { return static_cast<double>(shard_count()); }, "count");
   reg.register_fn("cluster.updates_applied",
                   [this] { return static_cast<double>(updates_applied()); },
                   "count");
-  // Worst health state across shards (0 healthy / 1 degraded / 2
-  // quarantined) — the one-glance row; per-shard detail follows below.
-  reg.register_fn("cluster.shard_state",
-                  [this] {
-                    std::uint8_t worst = 0;
-                    for (std::size_t i = 0; i < shards_.size(); ++i)
-                      worst = std::max(
-                          worst, static_cast<std::uint8_t>(shard_state(i)));
-                    return static_cast<double>(worst);
-                  },
-                  "state");
-  reg.register_fn("cluster.quarantines",
-                  [this] { return static_cast<double>(
-                               quarantines_.load(std::memory_order_relaxed)); },
-                  "count");
-  reg.register_fn("cluster.resyncs",
-                  [this] { return static_cast<double>(resyncs()); }, "count");
-  reg.register_fn("cluster.resync_failures",
-                  [this] { return static_cast<double>(resync_failures()); },
-                  "count");
-  reg.register_fn("cluster.reroutes",
-                  [this] { return static_cast<double>(reroutes()); }, "count");
+  reg.register_fn("cluster.read_only", [this] { return read_only() ? 1.0 : 0.0; },
+                  "bool");
   reg.register_fn("cluster.wal_poisonings",
                   [this] { return static_cast<double>(wal_poisonings_.load(
                                std::memory_order_relaxed)); },
                   "count");
-  // Process-wide high-water mark (all shards share one process); the
-  // per-shard owned/mapped split lives in the engine rows below.
   reg.register_fn("cluster.peak_rss_bytes",
                   [] { return static_cast<double>(util::peak_rss_bytes()); },
                   "bytes");
+  engine_->register_metrics(reg, "engine");
   obs::MetricsSnapshot out = reg.snapshot();
-  double wal_retries = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "shard" + std::to_string(i);
-    out.rows.push_back({prefix + ".state",
-                        static_cast<double>(shard_state(i)), "state"});
+  // Batch service time (an idle cluster's empty histogram reads 0 in every
+  // row).
+  const obs::LatencyHistogram::Summary batch = batch_ns_.summary();
+  out.rows.push_back({"cluster.batch_us.p50", batch.p50 * 1e-3, "us"});
+  out.rows.push_back({"cluster.batch_us.p99", batch.p99 * 1e-3, "us"});
+  out.rows.push_back(
+      {"cluster.batch_us.count", static_cast<double>(batch.count), "count"});
+  if (wal_) {
+    out.rows.push_back({"cluster.wal_records",
+                        static_cast<double>(wal_->records_appended().value()), "count"});
     out.rows.push_back(
-        {prefix + ".failures",
-         static_cast<double>(shards_[i]->failures.load(std::memory_order_relaxed)),
-         "count"});
-    out.rows.push_back(
-        {prefix + ".read_only", shard_read_only(i) ? 1.0 : 0.0, "bool"});
-    // Per-shard service-time rows (an idle shard's empty histogram reads
-    // 0 in every row).
-    const obs::LatencyHistogram::Summary batch = shards_[i]->batch_ns.summary();
-    out.rows.push_back({prefix + ".batch_us.p50", batch.p50 * 1e-3, "us"});
-    out.rows.push_back({prefix + ".batch_us.p99", batch.p99 * 1e-3, "us"});
-    out.rows.push_back(
-        {prefix + ".batch_us.count", static_cast<double>(batch.count), "count"});
-    if (shards_[i]->wal) {
-      out.rows.push_back({prefix + ".wal_records",
-                          static_cast<double>(shards_[i]->wal->records_appended().value()),
-                          "count"});
-      out.rows.push_back({prefix + ".wal_bytes",
-                          static_cast<double>(shards_[i]->wal->size_bytes()),
-                          "bytes"});
-      const double r = static_cast<double>(shards_[i]->wal->retries().value());
-      out.rows.push_back({prefix + ".wal_retries", r, "count"});
-      wal_retries += r;
-    }
-    obs::MetricsRegistry shard_reg;
-    replica_ref(i)->engine->register_metrics(shard_reg, prefix + ".engine");
-    const obs::MetricsSnapshot shard_rows = shard_reg.snapshot();
-    out.rows.insert(out.rows.end(), shard_rows.rows.begin(), shard_rows.rows.end());
+        {"cluster.wal_bytes", static_cast<double>(wal_->size_bytes()), "bytes"});
   }
-  // Summed across shards so dashboards can alert on one row.
-  out.rows.push_back({"wal.retries", wal_retries, "count"});
+  out.rows.push_back(
+      {"wal.retries", wal_ ? static_cast<double>(wal_->retries().value()) : 0.0,
+       "count"});
   return out;
 }
 

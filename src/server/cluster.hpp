@@ -1,55 +1,34 @@
-// ShardedCluster — N replicated QueryEngine shards behind one
-// epoch-consistent publication protocol (see docs/architecture.md,
-// "Serving layer & sharding" and "Overload & failure handling").
+// ShardedCluster — the serving core behind TcpServer: one AP classifier
+// (BddManager + ApClassifier + QueryEngine) and at most one write-ahead log
+// (see docs/architecture.md, "Serving layer" and "Overload & failure
+// handling").
 //
-// Sharding model.  Every shard holds a FULL replica of the classifier
-// (BddManager + ApClassifier + QueryEngine); queries are routed to
-// shard_of(ingress) = ingress % shards, so each shard's snapshot caches,
-// behavior-table rows, and visit counters specialize to its share of the
-// ingress boxes while correctness never depends on the routing (any shard
-// could answer any query).  Rule updates apply to every replica; the WAL is
-// partitioned by the rule's OWNER shard (shard_of(box)) with a global
-// sequence number in each record, so recovery merge-sorts the per-shard
-// files back into the original update order.
+// Epochs.  The cluster epoch is the engine's publish epoch: 0 once
+// construction has replayed the WAL, +1 per applied update.  A batch pins
+// one snapshot together with its epoch (QueryEngine::pin) and answers every
+// item from it, so a reply never mixes two publishes and the epoch it
+// reports names the exact state that answered it.
 //
-// Epoch-consistent publication.  The cluster epoch E means: every healthy
-// shard has published a snapshot tagged E.  An update picks E+1, tags every
-// shard's next publish with it (QueryEngine::set_next_publish_epoch),
-// applies the mutation shard by shard, and only after the LAST shard has
-// published does the cluster-level epoch_ advance.  Readers never consult
-// epoch_ directly to pick snapshots — pin() loops until it holds one
-// snapshot per healthy shard all tagged with the same epoch, so a batch
-// fanned across shards is answered from one network-wide frozen state even
-// while a publication is mid-flight (the per-engine epoch_pin option keeps
-// the E snapshot alive on shards that already published E+1).
+// Updates serialize on one mutex: validate, journal the record to the WAL,
+// then apply it through the engine, which republishes.  Failure semantics:
+//   * a batch the engine sheds (admission cap) fails with kUnavailable;
+//     nothing else changes, and the next batch is admitted normally;
+//   * a poisoned WAL (a failed fsync) makes the cluster read-only: updates
+//     get kUnavailable while queries keep serving, until a restart replays
+//     the log.  The update that hit the poison may already be on disk, so
+//     its outcome is unknown until that restart;
+//   * an engine update that throws after its record was journaled leaves
+//     memory behind the log, so it makes the cluster read-only too.
 //
-// Fault containment.  Each shard carries a health state driven by a
-// consecutive-failure circuit breaker over its batch/update path:
-//
-//   healthy --(breaker_degrade_after failures)--> degraded
-//   degraded --(breaker_quarantine_after failures)--> quarantined
-//   any success: degraded -> healthy; quarantine only exits via resync.
-//
-// A quarantined shard is dropped from pin()/classify round-robin; queries
-// homed on it are answered by a healthy replica at the SAME pinned epoch
-// (full replication makes every shard an oracle) with
-// BatchResult::degraded flagged so clients see the service quality drop.
-// A background resync thread rebuilds the replica offline from the network
-// model + the in-memory update log, rewrites the shard's WAL (dropping any
-// unacknowledged record a poisoned append left behind), republishes at the
-// current cluster epoch, and re-admits the shard — retrying the whole
-// attempt under Options::resync_backoff.  A poisoned WAL additionally
-// flips the owner shard read-only: updates owned by it are refused with
-// kUnavailable (503) while queries keep serving; resync clears the flag.
+// The class name, Options::shards (which must be 1) and shard(0) remain from
+// an earlier replicated design so existing callers keep compiling.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "classifier/classifier.hpp"
@@ -57,215 +36,95 @@
 #include "io/wal.hpp"
 #include "obs/metrics.hpp"
 #include "server/protocol.hpp"
-#include "util/backoff.hpp"
 
 namespace apc::server {
-
-/// Per-shard health, coarsened for routing decisions: degraded still serves
-/// (it is a warning trend), quarantined is out of rotation until resync.
-enum class ShardState : std::uint8_t {
-  kHealthy = 0,
-  kDegraded = 1,
-  kQuarantined = 2,
-};
-
-const char* shard_state_name(ShardState s);
 
 class ShardedCluster {
  public:
   struct Options {
-    /// Replica count; queries route by ingress % shards.
-    std::size_t shards = 4;
-    /// Per-shard engine knobs.  epoch_pin is forced on (the consistency
-    /// protocol requires it) and snapshot_path is cleared — the WAL is the
-    /// cluster's durability story; a warm-restored snapshot could predate
-    /// the replayed log and serve stale answers.
+    /// Must be 1 (anything else is kInvalidArgument): the cluster holds one
+    /// engine.
+    std::size_t shards = 1;
+    /// Engine knobs.  snapshot_path is cleared — the WAL is the cluster's
+    /// durability story; a warm-restored snapshot could predate the
+    /// replayed log and serve stale answers.
     engine::QueryEngine::Options engine;
-    /// Per-shard classifier knobs.
     ApClassifier::Options classifier;
-    /// Directory for the per-shard WALs ("shard<i>.wal"); empty = no
-    /// durability (updates live only in memory).
+    /// Directory holding the WAL ("shard0.wal"); empty = no durability
+    /// (updates live only in memory).
     std::string wal_dir;
     io::WalOptions wal;
-    /// Consecutive batch/update failures before a shard is marked degraded.
-    std::size_t breaker_degrade_after = 2;
-    /// Consecutive failures before quarantine + background resync.  Must be
-    /// >= breaker_degrade_after.
-    std::size_t breaker_quarantine_after = 5;
-    /// Retry schedule for resync attempts before giving up (the shard then
-    /// stays quarantined; a later quarantine_shard() call retries).
-    util::BackoffPolicy resync_backoff{std::chrono::milliseconds{10},
-                                       std::chrono::milliseconds{500},
-                                       2.0, 0.25, 6};
   };
 
-  /// Builds `opts.shards` replicas of `net` (in parallel, one thread per
-  /// shard) and replays any existing WALs in global sequence order.  `net`
-  /// is copied (resync rebuilds replicas from it long after construction).
+  /// Builds the classifier for `net`, replays `<wal_dir>/shard0.wal` in file
+  /// order, then publishes epoch 0.  Throws kInvalidArgument when wal_dir
+  /// holds a `shard<i>.wal` with i >= 1: such a directory was written by the
+  /// replicated layout, and replaying only shard0.wal would silently drop
+  /// acknowledged updates.
   ShardedCluster(const NetworkModel& net, Options opts);
-  ~ShardedCluster();
 
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_of(BoxId ingress) const { return ingress % shards_.size(); }
-  /// The highest epoch every shard has published (never decreases).
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// One snapshot per shard, all tagged with the same epoch.  Quarantined
-  /// shards contribute a null snapshot; `engines` keeps the backing replica
-  /// alive for the batch even if a concurrent resync swaps it out.
-  struct PinnedView {
-    std::uint64_t epoch = 0;
-    std::vector<std::shared_ptr<const engine::FlatSnapshot>> snaps;
-    std::vector<std::shared_ptr<const engine::QueryEngine>> engines;
-  };
-  /// Acquires an epoch-consistent view over the non-quarantined shards:
-  /// retries until every one of them yields a snapshot tagged with one
-  /// common epoch.  Never blocks updates.
-  PinnedView pin() const;
+  /// The published epoch (never decreases).
+  std::uint64_t epoch() const { return engine_->snapshot_epoch(); }
+  /// The current snapshot and its epoch, read together.
+  engine::QueryEngine::Pinned pin() const { return engine_->pin(); }
 
   /// One buffered C/Q line awaiting GO.
   struct BatchItem {
     bool is_query = false;  ///< false = classify (C), true = query (Q)
     PacketHeader header;
-    BoxId ingress = 0;  ///< queries only; also the routing key
+    BoxId ingress = 0;  ///< queries only
   };
   struct BatchResult {
     std::uint64_t epoch = 0;         ///< the pinned epoch
     std::vector<std::string> lines;  ///< one answer line per item, in order
-    /// True when any item was answered away from its home shard (the home
-    /// was quarantined, or failed mid-batch and the items were rerouted).
-    bool degraded = false;
   };
-  /// Executes a mixed batch against ONE pinned epoch: items are grouped by
-  /// shard, fanned out via the engines' admitted batch paths, and answers
-  /// return in input order ("A <atom>" / format_behavior_summary lines).
-  /// A shard that sheds or throws trips its breaker and the batch is
-  /// rerouted to a healthy replica (degraded=true); only when no healthy
-  /// replica remains does the call throw apc::Error(kUnavailable).
+  /// Answers a mixed batch from ONE pinned snapshot, in input order
+  /// ("A <atom>" / format_behavior_summary lines).  Throws
+  /// apc::Error(kUnavailable) when the engine sheds the batch.
   BatchResult run_batch(const std::vector<BatchItem>& items) const;
 
-  /// Applies a FIB update to every replica under one cluster-wide epoch
-  /// bump, journaling it to the owner shard's WAL first.  Returns the new
-  /// cluster epoch.  Throws kUnavailable when the owner shard is read-only
-  /// (poisoned WAL) or the append definitively failed.
+  /// Journals then applies one FIB update; returns the new epoch.  Throws
+  /// kInvalidArgument for an update the classifier would refuse (checked
+  /// before anything is journaled) and kUnavailable while read-only.
   std::uint64_t add_rule(const RuleSpec& spec);
   std::uint64_t remove_rule(const RuleSpec& spec);
 
-  /// Read access for differential tests.  The returned engine is kept
-  /// alive by the shared_ptr even across a concurrent resync swap.
-  std::shared_ptr<const engine::QueryEngine> shard(std::size_t i) const {
-    return replica_engine(i);
-  }
+  /// The engine, for differential tests and benchmarks; `i` must be 0.  The
+  /// engine references the cluster's classifier: do not use it after the
+  /// cluster is gone.
+  std::shared_ptr<const engine::QueryEngine> shard(std::size_t i) const;
 
-  // ---- Health & fault containment ----
-  ShardState shard_state(std::size_t i) const {
-    return shards_[i]->state.load(std::memory_order_acquire);
-  }
-  /// True while the shard's poisoned WAL blocks updates it owns.
-  bool shard_read_only(std::size_t i) const {
-    return shards_[i]->read_only.load(std::memory_order_acquire);
-  }
-  /// Forces shard `i` out of rotation and kicks the background resync
-  /// (idempotent while one is already running).  The breaker calls this
-  /// internally; tests and operators can call it directly.
-  void quarantine_shard(std::size_t i) const;
-  /// Completed resyncs (shards re-admitted) since construction.
-  std::uint64_t resyncs() const { return resyncs_.load(std::memory_order_relaxed); }
-  /// Resync attempts that failed (the shard stayed quarantined that round).
-  std::uint64_t resync_failures() const {
-    return resync_failures_.load(std::memory_order_relaxed);
-  }
-  /// Batches that needed rerouting away from a shard (degraded replies).
-  std::uint64_t reroutes() const { return reroutes_.load(std::memory_order_relaxed); }
-
-  /// Aggregated metric snapshot: cluster rows (epoch, shards,
-  /// updates_applied, shard_state, resyncs, wal.retries) plus every shard's
-  /// health/WAL rows and engine inventory under "shard<i>.".  Materialized
-  /// under the update lock so callback rows never race a mutation; idle
-  /// shards (zero queries) report zeroed latency rows.
-  obs::MetricsSnapshot stats() const;
-
-  /// Updates applied (add + remove) since construction.
+  /// True once a poisoned WAL or a failed update has stopped updates.
+  bool read_only() const { return read_only_.load(std::memory_order_acquire); }
+  /// Updates applied (replayed + add + remove) since construction.
   std::uint64_t updates_applied() const {
     return updates_applied_.load(std::memory_order_relaxed);
   }
 
+  /// Cluster rows (epoch, updates, read-only, batch latency, WAL) plus the
+  /// engine inventory under "engine.".  Materialized under the update lock
+  /// so callback rows never race a mutation.
+  obs::MetricsSnapshot stats() const;
+
  private:
-  /// The swappable compute core of a shard.  Resync builds a replacement
-  /// offline and swaps the shared_ptr; in-flight batches keep the old one
-  /// alive through PinnedView::engines.  Member order matters: the engine
-  /// references the classifier which references the manager, so
-  /// destruction must run engine-first (reverse declaration order).
-  struct Replica {
-    std::shared_ptr<bdd::BddManager> mgr;
-    std::unique_ptr<ApClassifier> clf;
-    std::unique_ptr<engine::QueryEngine> engine;
-  };
-
-  struct Shard {
-    std::shared_ptr<Replica> replica;  ///< guarded by swap_mu_
-    std::unique_ptr<io::Wal> wal;      ///< guarded by update_mu_
-    obs::LatencyHistogram batch_ns;    ///< per-batch service time
-    std::atomic<ShardState> state{ShardState::kHealthy};
-    std::atomic<std::size_t> failures{0};  ///< consecutive, breaker input
-    std::atomic<bool> read_only{false};    ///< poisoned WAL: refuse updates
-    std::atomic<bool> resync_active{false};
-  };
-
-  /// One replayed/journaled update, kept in memory so resync can rebuild a
-  /// replica without touching other shards' WAL files.  Guarded by
-  /// update_mu_.
-  struct LogRecord {
-    std::uint64_t seq = 0;
-    bool add = false;
-    RuleSpec spec;
-  };
-
   std::uint64_t apply_update(bool add, const RuleSpec& spec);
-  std::shared_ptr<Replica> replica_ref(std::size_t i) const;
-  std::shared_ptr<const engine::QueryEngine> replica_engine(std::size_t i) const;
-  /// Runs shard `s`'s slice of the batch on executing shard `exec` (same
-  /// pinned snapshot epoch).  Returns false on shed/exception.
-  bool execute_slice(const PinnedView& view, std::size_t exec,
-                     const std::vector<std::size_t>& classify_ix,
-                     const std::vector<std::size_t>& query_ix,
-                     const std::vector<BatchItem>& items, BatchResult& out) const;
-  void note_shard_success(std::size_t i) const;
-  void note_shard_failure(std::size_t i) const;
-  void resync_loop(std::size_t i) const;
-  /// One full resync attempt; throws on failure (caller backs off).
-  void resync_once(std::size_t i) const;
 
   Options opts_;
-  NetworkModel net_;  ///< resync rebuilds replicas from this copy
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Serializes add_rule/remove_rule and resync splice-in (the publication
-  /// protocol assumes one writer walks the shards at a time).
+  // Declaration order is destruction order reversed: the engine references
+  // the classifier, which references the manager.
+  std::shared_ptr<bdd::BddManager> mgr_;
+  std::unique_ptr<ApClassifier> clf_;
+  std::shared_ptr<engine::QueryEngine> engine_;
+  std::unique_ptr<io::Wal> wal_;  ///< guarded by update_mu_
+  mutable obs::LatencyHistogram batch_ns_;
   mutable std::mutex update_mu_;
-  /// Guards every Shard::replica pointer; leaf lock (acquired after
-  /// update_mu_, never around engine calls).
-  mutable std::mutex swap_mu_;
-  std::atomic<std::uint64_t> epoch_{0};
-  /// Global update sequence embedded in WAL records (guarded by update_mu_).
-  std::uint64_t next_seq_ = 1;
-  /// Full update history (replayed + applied), for resync (update_mu_).
-  mutable std::vector<LogRecord> update_log_;
+  std::uint64_t next_seq_ = 1;  ///< WAL record sequence; guarded by update_mu_
+  std::atomic<bool> read_only_{false};
   std::atomic<std::uint64_t> updates_applied_{0};
-
-  // ---- resync machinery (mutable: quarantine is logically const) ----
-  mutable std::mutex resync_mu_;
-  mutable std::vector<std::thread> resync_threads_;  ///< guarded by resync_mu_
-  mutable std::mutex stop_mu_;
-  mutable std::condition_variable stop_cv_;
-  mutable std::atomic<bool> stopping_{false};
-  mutable std::atomic<std::uint64_t> resyncs_{0};
-  mutable std::atomic<std::uint64_t> resync_failures_{0};
-  mutable std::atomic<std::uint64_t> reroutes_{0};
-  mutable std::atomic<std::uint64_t> quarantines_{0};
-  mutable std::atomic<std::uint64_t> wal_poisonings_{0};
+  std::atomic<std::uint64_t> wal_poisonings_{0};
 };
 
 }  // namespace apc::server

@@ -1,5 +1,5 @@
 // Wire protocol of the TCP serving layer (see docs/architecture.md,
-// "Serving layer & sharding").
+// "Serving layer").
 //
 // The protocol is line-oriented text — one directive per '\n'-terminated
 // line, Click/ChatterSocket style — so a shell, a test, and the closed-loop
@@ -17,17 +17,14 @@
 // whole batch against ONE pinned cluster epoch and streams the answers
 // back.  Responses lead with a numeric status line:
 //
-//   201 <epoch> <n> [degraded=1]   batch executed; n answer lines follow, in
-//                     order.  degraded=1 flags answers served away from
-//                     their home shard (it was quarantined/failing): still
-//                     correct and epoch-consistent, but the routing
-//                     locality the client asked for was unavailable.
+//   201 <epoch> <n>   batch executed; n answer lines follow, in order
 //   200 <epoch>       update applied / EPOCH answer
 //   202 <n>           STATS; n "name value" lines follow
 //   400 <message>     parse error (this line only; the batch is kept)
 //   408 <message>     idle/write deadline hit; the server closes the line
-//   503 <message>     admission shed / connection-cap shed / read-only
-//                     shard / draining; retry later
+//   503 <message>     admission shed / connection-cap shed / draining
+//                     (retry later), or an update refused while the
+//                     cluster is read-only
 //   500 <message>     internal error
 //
 // Parsing reuses the hardened io/line_parse helpers: 64 KiB line cap,

@@ -260,7 +260,6 @@ bool TcpServer::handle_line(int fd, std::string_view line, std::size_t lineno,
         reply += std::to_string(res.epoch);
         reply += ' ';
         reply += std::to_string(res.lines.size());
-        if (res.degraded) reply += " degraded=1";
         reply += '\n';
         for (const std::string& l : res.lines) {
           reply += l;

@@ -1,10 +1,10 @@
 // TcpServer — a line-protocol front end for a ShardedCluster (see
-// protocol.hpp for the grammar and docs/architecture.md, "Serving layer &
-// sharding" / "Overload & failure handling").
+// protocol.hpp for the grammar and docs/architecture.md, "Serving layer" /
+// "Overload & failure handling").
 //
 // Threading: one acceptor thread plus one thread per connection — the
 // serving fan-out the paper's controller needs is per-*batch* (each GO fans
-// its items across the shard engines' pools), so connection handling stays
+// its items across the engine's pool), so connection handling stays
 // deliberately simple and blocking.  A connection buffers C/Q lines until
 // GO, executes them against ONE pinned cluster epoch, and streams the
 // answers back in order.  Update (A/R) and introspection (STATS/EPOCH)

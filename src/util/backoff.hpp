@@ -1,6 +1,5 @@
-// Bounded exponential backoff with jitter, shared by every transient-failure
-// retry loop in the system (WAL append/fsync retries, quarantined-shard
-// resync re-admission).
+// Bounded exponential backoff with jitter for transient-failure retry loops
+// (WAL append/fsync retries).
 //
 // The policy is the classic capped geometric schedule: attempt k sleeps
 // base * multiplier^k, clamped to `max`, then scaled by a uniform jitter

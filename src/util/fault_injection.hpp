@@ -15,6 +15,7 @@
 //   snapshot.save.write / snapshot.save.fsync / snapshot.save.dirsync
 //   snapshot.load.read
 //   taskpool.task
+//   cluster.batch / cluster.update
 //
 // All methods are thread-safe; the global injected-fault counter feeds the
 // obs registry (`faults.injected`).

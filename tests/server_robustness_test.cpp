@@ -1,10 +1,9 @@
 // Fault-resilience tests for the serving layer (see docs/architecture.md,
 // "Overload & failure handling"): connection deadlines (408), connection
-// caps (503 shed), graceful drain, the finished-session reaper, the
-// ChaosProxy transport-fault fixture, the shard circuit breaker +
-// quarantine/resync cycle, and WAL poisoning flipping a shard read-only.
-// The fault-injection–gated suites additionally drive the breaker and the
-// WAL retry/poison paths deterministically.
+// caps (503 shed), graceful drain, the finished-session reaper, and the
+// ChaosProxy transport-fault fixture.  The fault-injection–gated suite
+// additionally drives a failing batch, a failing update, and WAL poisoning
+// (read-only until restart) deterministically.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -23,10 +22,10 @@
 #include "datasets/datasets.hpp"
 #include "datasets/traces.hpp"
 #include "packet/ipv4.hpp"
-#include "server/chaos_proxy.hpp"
 #include "server/cluster.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "support/chaos_proxy.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
@@ -133,9 +132,8 @@ struct RobustWorld {
     trace = datasets::uniform_trace(reps, 96, rng);
   }
 
-  ShardedCluster::Options cluster_options(std::size_t shards) const {
+  ShardedCluster::Options cluster_options() const {
     ShardedCluster::Options o;
-    o.shards = shards;
     o.engine.num_threads = 2;
     return o;
   }
@@ -157,7 +155,7 @@ struct RobustWorld {
 
 TEST(ServerRobustness, IdleClientTimesOutWith408AndFreesThread) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.read_idle_timeout_ms = 150;
   TcpServer server(cluster, opts);
@@ -176,7 +174,7 @@ TEST(ServerRobustness, IdleClientTimesOutWith408AndFreesThread) {
 
 TEST(ServerRobustness, ActiveClientNeverTripsIdleDeadline) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.read_idle_timeout_ms = 200;
   TcpServer server(cluster, opts);
@@ -198,7 +196,7 @@ TEST(ServerRobustness, ActiveClientNeverTripsIdleDeadline) {
 
 TEST(ServerRobustness, StalledReaderHitsWriteDeadline) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.write_timeout_ms = 250;
   opts.so_sndbuf = 4096;  // so the reply overflows the kernel buffers
@@ -219,7 +217,7 @@ TEST(ServerRobustness, StalledReaderHitsWriteDeadline) {
 
 TEST(ServerRobustness, RstMidBatchFreesThreadAndKeepsServing) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer server(cluster, TcpServer::Options{});
 
   LineClient doomed(server.port());
@@ -236,7 +234,7 @@ TEST(ServerRobustness, RstMidBatchFreesThreadAndKeepsServing) {
 
 TEST(ServerRobustness, ConnectNeverWriteFreesThreadViaDeadline) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.read_idle_timeout_ms = 120;
   TcpServer server(cluster, opts);
@@ -256,7 +254,7 @@ TEST(ServerRobustness, ConnectNeverWriteFreesThreadViaDeadline) {
 
 TEST(ServerRobustness, ReaperRunsWithoutNewAccepts) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer server(cluster, TcpServer::Options{});
   {
     LineClient client(server.port());
@@ -272,7 +270,7 @@ TEST(ServerRobustness, ReaperRunsWithoutNewAccepts) {
 
 TEST(ServerRobustness, ConnectionCapShedsWith503) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.max_connections = 2;
   TcpServer server(cluster, opts);
@@ -308,7 +306,7 @@ TEST(ServerRobustness, ConnectionCapShedsWith503) {
 
 TEST(ServerRobustness, GracefulDrainFinishesInFlightBatch) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.drain_timeout_ms = 5000;
   TcpServer server(cluster, opts);
@@ -364,7 +362,7 @@ TEST(ServerRobustness, GracefulDrainFinishesInFlightBatch) {
 
 TEST(ServerRobustness, StatsExposeRobustnessRowsAsIntegers) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer server(cluster, TcpServer::Options{});
   LineClient client(server.port());
   ASSERT_TRUE(client.ok());
@@ -373,7 +371,7 @@ TEST(ServerRobustness, StatsExposeRobustnessRowsAsIntegers) {
   ASSERT_EQ(header.rfind("202 ", 0), 0u) << header;
   const std::size_t rows = std::stoul(header.substr(4));
   bool saw_timeouts = false, saw_sheds = false, saw_live = false,
-       saw_state = false, saw_resyncs = false, saw_wal_retries = false;
+       saw_read_only = false, saw_wal_retries = false;
   for (std::size_t i = 0; i < rows; ++i) {
     const std::string row = client.read_line();
     ASSERT_FALSE(row.empty());
@@ -384,8 +382,7 @@ TEST(ServerRobustness, StatsExposeRobustnessRowsAsIntegers) {
     if (name == "server.timeouts") saw_timeouts = true;
     if (name == "server.sheds") saw_sheds = true;
     if (name == "server.live_sessions") saw_live = true;
-    if (name == "cluster.shard_state") saw_state = true;
-    if (name == "cluster.resyncs") saw_resyncs = true;
+    if (name == "cluster.read_only") saw_read_only = true;
     if (name == "wal.retries") saw_wal_retries = true;
     // Counter-ish rows print as exact integers (no mantissa truncation).
     if (name.rfind("server.", 0) == 0 || name == "cluster.updates_applied") {
@@ -396,8 +393,7 @@ TEST(ServerRobustness, StatsExposeRobustnessRowsAsIntegers) {
   EXPECT_TRUE(saw_timeouts);
   EXPECT_TRUE(saw_sheds);
   EXPECT_TRUE(saw_live);
-  EXPECT_TRUE(saw_state);
-  EXPECT_TRUE(saw_resyncs);
+  EXPECT_TRUE(saw_read_only);
   EXPECT_TRUE(saw_wal_retries);
 }
 
@@ -419,7 +415,7 @@ TEST(ServerRobustness, StatValueFormattingRoundTripsIntegers) {
 
 TEST(ChaosProxyFaults, TrickledBytesKeepIdleClockAliveStallTripsIt) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.read_idle_timeout_ms = 200;
   TcpServer server(cluster, opts);
@@ -445,7 +441,7 @@ TEST(ChaosProxyFaults, TrickledBytesKeepIdleClockAliveStallTripsIt) {
 
 TEST(ChaosProxyFaults, InjectedRstFreesServerThread) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer server(cluster, TcpServer::Options{});
   ChaosProxy::Options popts;
   popts.upstream_port = server.port();
@@ -471,7 +467,7 @@ TEST(ChaosProxyFaults, InjectedRstFreesServerThread) {
 
 TEST(ChaosProxyFaults, DeadReaderBackPressureTripsWriteDeadline) {
   RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   TcpServer::Options opts;
   opts.write_timeout_ms = 250;
   opts.so_sndbuf = 4096;
@@ -492,249 +488,151 @@ TEST(ChaosProxyFaults, DeadReaderBackPressureTripsWriteDeadline) {
   proxy.stop();
 }
 
-// ------------------------------------------------ quarantine/resync cycle
-
-TEST(ClusterResilience, QuarantineReroutesThenResyncReadmits) {
-  RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(3));
-
-  RuleSpec r1;
-  r1.box = 1;
-  r1.rule.dst = parse_prefix("10.66.0.0/16");
-  r1.rule.egress_port = 0;
-  r1.rule.priority = 80;
-  ASSERT_EQ(cluster.add_rule(r1), 1u);
-  auto fork = w.reference.fork();
-  fork->insert_fib_rule(r1.box, r1.rule);
-
-  // All queries homed on shard 1; expectations from the reference fork.
-  std::vector<ShardedCluster::BatchItem> items;
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < 12; ++i) {
-    ShardedCluster::BatchItem q;
-    q.is_query = true;
-    q.header = w.trace[i];
-    q.ingress = 1;
-    items.push_back(q);
-    expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
-  }
-  auto check = [&](const ShardedCluster::BatchResult& res) {
-    ASSERT_EQ(res.lines.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
-  };
-
-  cluster.quarantine_shard(1);
-  // While shard 1 is out of rotation, its queries are answered by a healthy
-  // replica and flagged degraded; answers stay correct throughout.
-  bool saw_degraded = false;
-  for (int round = 0; round < 200; ++round) {
-    const auto res = cluster.run_batch(items);
-    check(res);
-    saw_degraded |= res.degraded;
-    if (cluster.shard_state(1) == ShardState::kHealthy && !res.degraded) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(saw_degraded)
-      << "queries homed on the quarantined shard must be flagged degraded";
-  EXPECT_TRUE(wait_until(
-      [&] { return cluster.shard_state(1) == ShardState::kHealthy; }, 10000))
-      << "resync must re-admit the shard";
-  EXPECT_GE(cluster.resyncs(), 1u);
-  EXPECT_GE(cluster.reroutes(), 1u);
-
-  // Post-readmission: home routing again, replies no longer degraded.
-  const auto res = cluster.run_batch(items);
-  check(res);
-  EXPECT_FALSE(res.degraded);
-}
-
-TEST(ClusterResilience, UpdatesDuringQuarantineReachTheResyncedShard) {
-  RobustWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(3));
-  cluster.quarantine_shard(2);
-
-  // Apply an update while shard 2 is (possibly still) out of rotation; the
-  // resync replays it from the in-memory log, so the re-admitted replica
-  // must answer as if it had seen the update live.
-  RuleSpec spec;
-  spec.box = 0;
-  spec.rule.dst = parse_prefix("10.99.0.0/16");
-  spec.rule.egress_port = 0;
-  spec.rule.priority = 70;
-  const std::uint64_t epoch = cluster.add_rule(spec);
-  EXPECT_GE(epoch, 1u);
-
-  ASSERT_TRUE(wait_until(
-      [&] { return cluster.shard_state(2) == ShardState::kHealthy; }, 10000));
-  auto fork = w.reference.fork();
-  fork->insert_fib_rule(spec.box, spec.rule);
-
-  std::vector<ShardedCluster::BatchItem> items;
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < 12; ++i) {
-    ShardedCluster::BatchItem q;
-    q.is_query = true;
-    q.header = w.trace[i];
-    q.ingress = 2;  // homed on the re-admitted shard
-    items.push_back(q);
-    expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
-  }
-  const auto res = cluster.run_batch(items);
-  EXPECT_FALSE(res.degraded);
-  ASSERT_EQ(res.lines.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
-  // The resynced replica publishes at the cluster epoch, not at zero.
-  EXPECT_EQ(cluster.shard(2)->snapshot_epoch(), cluster.epoch());
-}
-
 #if defined(APC_FAULT_INJECTION)
 
-// Deterministic breaker + WAL-poison paths (need armed fault sites).
+// Deterministic batch, update and WAL-poison failures (need armed sites).
 class ClusterFaultInjection : public ::testing::Test {
  protected:
   void TearDown() override { util::FaultInjector::instance().disarm_all(); }
 };
 
-TEST_F(ClusterFaultInjection, BreakerDegradesThenQuarantinesAndResyncs) {
+TEST_F(ClusterFaultInjection, InjectedBatchFaultGets5xxAndNextBatchServes) {
   RobustWorld w;
-  ShardedCluster::Options opts = w.cluster_options(2);
-  opts.breaker_degrade_after = 1;
-  opts.breaker_quarantine_after = 3;
-  ShardedCluster cluster(w.data.net, opts);
+  ShardedCluster cluster(w.data.net, w.cluster_options());
+  TcpServer server(cluster, TcpServer::Options{});
+  LineClient client(server.port());
+  ASSERT_TRUE(client.ok());
 
-  // Every primary batch execution on the (only busy) shard 0 fails 3 times.
   util::FaultPlan plan;
   plan.kind = util::FaultPlan::Kind::kThrow;
-  plan.count = 3;
-  util::FaultInjector::instance().arm("cluster.shard.batch", plan);
+  plan.count = 1;
+  util::FaultInjector::instance().arm("cluster.batch", plan);
+  const std::string batch = format_query(0, w.trace[0]) + "\nGO\n";
+  client.send(batch);
+  const std::string failed = client.read_line();
+  EXPECT_EQ(failed.rfind("500 [internal] ", 0), 0u) << failed;
 
-  std::vector<ShardedCluster::BatchItem> items;
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < 8; ++i) {
-    ShardedCluster::BatchItem q;
-    q.is_query = true;
-    q.header = w.trace[i];
-    q.ingress = 0;  // all routed to shard 0 -> one fault-site hit per batch
-    items.push_back(q);
-    expected.push_back(
-        format_behavior_summary(w.reference.query(q.header, q.ingress)));
-  }
-  auto check = [&](const ShardedCluster::BatchResult& res) {
-    ASSERT_EQ(res.lines.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
-  };
-
-  // Failure 1: breaker degrades shard 0; the batch is rerouted and correct.
-  auto res = cluster.run_batch(items);
-  check(res);
-  EXPECT_TRUE(res.degraded);
-  EXPECT_EQ(cluster.shard_state(0), ShardState::kDegraded);
-
-  // Failures 2 and 3: the third consecutive failure quarantines.
-  res = cluster.run_batch(items);
-  check(res);
-  EXPECT_TRUE(res.degraded);
-  res = cluster.run_batch(items);
-  check(res);
-  EXPECT_TRUE(res.degraded);
-  EXPECT_GE(cluster.reroutes(), 3u);
-
-  // The plan is exhausted; resync re-admits shard 0 and replies go clean.
-  EXPECT_TRUE(wait_until(
-      [&] { return cluster.shard_state(0) == ShardState::kHealthy; }, 10000));
-  EXPECT_GE(cluster.resyncs(), 1u);
-  res = cluster.run_batch(items);
-  check(res);
-  EXPECT_FALSE(res.degraded);
+  // The same connection keeps serving, and the next batch answers in full.
+  client.send(batch);
+  EXPECT_EQ(client.read_line(), "201 0 1");
+  EXPECT_EQ(client.read_line(), format_behavior_summary(w.reference.query(w.trace[0], 0)));
+  client.send("EPOCH\n");
+  EXPECT_EQ(client.read_line(), "200 0");
 }
 
-TEST_F(ClusterFaultInjection, WalPoisonFlipsShardReadOnlyUntilResync) {
+TEST_F(ClusterFaultInjection, UpdateFailingAfterJournalMakesReadOnly) {
+  RobustWorld w;
+  ShardedCluster cluster(w.data.net, w.cluster_options());
+  RuleSpec spec;
+  spec.box = 0;
+  spec.rule.dst = parse_prefix("10.50.0.0/16");
+  spec.rule.egress_port = 0;
+  spec.rule.priority = 50;
+
+  util::FaultPlan plan;
+  plan.kind = util::FaultPlan::Kind::kThrow;
+  plan.count = 1;
+  util::FaultInjector::instance().arm("cluster.update", plan);
+  try {
+    cluster.add_rule(spec);
+    FAIL() << "a failed update must be refused";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
+    EXPECT_NE(std::string(e.what()).find("read-only"), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(cluster.read_only());
+  EXPECT_EQ(cluster.epoch(), 0u);
+  // Later updates stay refused even though the fault is spent; queries serve.
+  try {
+    cluster.add_rule(spec);
+    FAIL() << "a read-only cluster must refuse updates";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
+  }
+  std::vector<ShardedCluster::BatchItem> items(1);
+  items[0].is_query = true;
+  items[0].header = w.trace[0];
+  EXPECT_EQ(cluster.run_batch(items).lines[0],
+            format_behavior_summary(w.reference.query(w.trace[0], 0)));
+}
+
+// Poison -> read-only -> restart -> recover -> writable.
+TEST_F(ClusterFaultInjection, WalPoisonMakesReadOnlyUntilRestart) {
   RobustWorld w;
   const std::string dir = ::testing::TempDir() + "apc_cluster_poison_wal";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  ShardedCluster::Options opts = w.cluster_options(2);
+  ShardedCluster::Options opts = w.cluster_options();
   opts.wal_dir = dir;
-  ShardedCluster cluster(w.data.net, opts);
 
-  RuleSpec owned0;  // box 0 -> owner shard 0
-  owned0.box = 0;
-  owned0.rule.dst = parse_prefix("10.50.0.0/16");
-  owned0.rule.egress_port = 0;
-  owned0.rule.priority = 50;
-  RuleSpec owned1 = owned0;  // box 1 -> owner shard 1
-  owned1.box = 1;
-  owned1.rule.dst = parse_prefix("10.51.0.0/16");
-
-  // EIO on fsync is NOT retried (fsyncgate): one hit poisons shard 0's WAL.
-  util::FaultPlan plan;
-  plan.kind = util::FaultPlan::Kind::kErrno;
-  plan.err = EIO;
-  plan.count = 1;
-  util::FaultInjector::instance().arm("wal.append.fsync", plan);
-  try {
-    cluster.add_rule(owned0);
-    FAIL() << "poisoned WAL append must refuse the update";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
-    EXPECT_NE(std::string(e.what()).find("read-only"), std::string::npos);
+  RuleSpec first;
+  first.box = 0;
+  first.rule.dst = parse_prefix("10.50.0.0/16");
+  first.rule.egress_port = 0;
+  first.rule.priority = 50;
+  RuleSpec second = first;
+  second.box = 1;
+  second.rule.dst = parse_prefix("10.51.0.0/16");
+  std::vector<ShardedCluster::BatchItem> items;
+  for (std::size_t i = 0; i < 8; ++i) {
+    ShardedCluster::BatchItem q;
+    q.is_query = true;
+    q.header = w.trace[i];
+    q.ingress = static_cast<BoxId>(i % w.data.net.topology.box_count());
+    items.push_back(q);
   }
-  EXPECT_TRUE(cluster.shard_read_only(0));
-  EXPECT_EQ(cluster.epoch(), 0u) << "refused update must not bump the epoch";
+  auto answers = [&](const ApClassifier& clf) {
+    std::vector<std::string> out;
+    for (const auto& q : items)
+      out.push_back(format_behavior_summary(clf.query(q.header, q.ingress)));
+    return out;
+  };
 
-  // Queries keep serving; updates owned by the HEALTHY shard keep working.
-  std::vector<ShardedCluster::BatchItem> items(4);
-  for (auto& it : items) {
-    it.is_query = true;
-    it.header = w.trace[0];
-    it.ingress = 0;
-  }
-  EXPECT_NO_THROW((void)cluster.run_batch(items));
-  EXPECT_EQ(cluster.add_rule(owned1), 1u);
-
-  // Updates owned by the read-only shard stay refused until resync.
-  try {
-    cluster.add_rule(owned0);
-    FAIL() << "read-only shard must keep refusing owned updates";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
-  }
-
-  // Resync rewrites the WAL from the in-memory log and clears read-only.
-  cluster.quarantine_shard(0);
-  ASSERT_TRUE(wait_until(
-      [&] {
-        return cluster.shard_state(0) == ShardState::kHealthy &&
-               !cluster.shard_read_only(0);
-      },
-      10000));
-  EXPECT_EQ(cluster.add_rule(owned0), 2u);
-
-  // The rewritten per-shard WALs recover to exactly the applied updates.
   {
-    ShardedCluster recovered(w.data.net, opts);
-    EXPECT_EQ(recovered.updates_applied(), 2u);
-    EXPECT_EQ(recovered.epoch(), 0u);
-    auto fork = w.reference.fork();
-    fork->insert_fib_rule(owned1.box, owned1.rule);
-    fork->insert_fib_rule(owned0.box, owned0.rule);
-    std::vector<ShardedCluster::BatchItem> qs;
-    std::vector<std::string> expected;
-    for (std::size_t i = 0; i < 8; ++i) {
-      ShardedCluster::BatchItem q;
-      q.is_query = true;
-      q.header = w.trace[i];
-      q.ingress = static_cast<BoxId>(i % w.data.net.topology.box_count());
-      qs.push_back(q);
-      expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
+    ShardedCluster cluster(w.data.net, opts);
+    // EIO on fsync is NOT retried (fsyncgate): one hit poisons the WAL.  The
+    // record was written before the fsync failed, so it may be durable.
+    util::FaultPlan plan;
+    plan.kind = util::FaultPlan::Kind::kErrno;
+    plan.err = EIO;
+    plan.count = 1;
+    util::FaultInjector::instance().arm("wal.append.fsync", plan);
+    try {
+      cluster.add_rule(first);
+      FAIL() << "poisoned WAL append must refuse the update";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
+      EXPECT_NE(std::string(e.what()).find("read-only until restart"),
+                std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("unknown"), std::string::npos) << e.what();
     }
-    const auto res = recovered.run_batch(qs);
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
+    EXPECT_TRUE(cluster.read_only());
+    EXPECT_EQ(cluster.epoch(), 0u) << "refused update must not bump the epoch";
+    EXPECT_EQ(cluster.stats().find("cluster.read_only")->value, 1.0);
+
+    // Queries keep serving the pre-poison state; every update is refused.
+    EXPECT_EQ(cluster.run_batch(items).lines, answers(w.reference));
+    try {
+      cluster.add_rule(second);
+      FAIL() << "a read-only cluster must refuse updates";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
+    }
+    util::FaultInjector::instance().disarm_all();
   }
+
+  // Restart: the refused update's record reached the file, so recovery
+  // replays it — its outcome was unknown until now — and the cluster is
+  // writable again.
+  ShardedCluster recovered(w.data.net, opts);
+  EXPECT_FALSE(recovered.read_only());
+  EXPECT_EQ(recovered.updates_applied(), 1u);
+  auto fork = w.reference.fork();
+  fork->insert_fib_rule(first.box, first.rule);
+  EXPECT_EQ(recovered.run_batch(items).lines, answers(*fork));
+  EXPECT_EQ(recovered.add_rule(second), 1u);
+  fork->insert_fib_rule(second.box, second.rule);
+  EXPECT_EQ(recovered.run_batch(items).lines, answers(*fork));
   std::filesystem::remove_all(dir);
 }
 

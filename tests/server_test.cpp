@@ -1,14 +1,15 @@
 // Serving-layer tests: the wire protocol (parse/format round trips and
-// hardened failure handling), the sharded cluster (replica equivalence with
-// a single classifier, epoch-consistent publication under concurrent
-// updates, WAL recovery), and the TCP front end (batched queries, malformed
-// and partial input, clients dying mid-batch).
+// hardened failure handling), the cluster (equivalence with a reference
+// classifier, epoch-consistent answers under concurrent updates, WAL
+// recovery and compatibility, sheds), and the TCP front end (batched
+// queries, malformed and partial input, clients dying mid-batch).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "datasets/datasets.hpp"
 #include "datasets/traces.hpp"
 #include "io/line_parse.hpp"
+#include "io/wal.hpp"
 #include "packet/ipv4.hpp"
 #include "server/cluster.hpp"
 #include "server/protocol.hpp"
@@ -254,18 +256,62 @@ struct ClusterWorld {
     trace = datasets::uniform_trace(reps, 96, rng);
   }
 
-  ShardedCluster::Options cluster_options(std::size_t shards) const {
+  ShardedCluster::Options cluster_options() const {
     ShardedCluster::Options o;
-    o.shards = shards;
     o.engine.num_threads = 2;
     return o;
   }
+
+  /// `n` queries over the trace, spread across every ingress box.
+  std::vector<ShardedCluster::BatchItem> query_items(std::size_t n) const {
+    std::vector<ShardedCluster::BatchItem> items;
+    for (std::size_t i = 0; i < n; ++i) {
+      ShardedCluster::BatchItem q;
+      q.is_query = true;
+      q.header = trace[i % trace.size()];
+      q.ingress = static_cast<BoxId>(i % data.net.topology.box_count());
+      items.push_back(q);
+    }
+    return items;
+  }
 };
+
+/// The answers `clf` gives for query `items`, formatted as the cluster does.
+std::vector<std::string> expected_answers(
+    const ApClassifier& clf, const std::vector<ShardedCluster::BatchItem>& items) {
+  std::vector<std::string> out;
+  for (const auto& it : items)
+    out.push_back(format_behavior_summary(clf.query(it.header, it.ingress)));
+  return out;
+}
+
+/// A fresh, empty directory under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+/// Every record in the WAL at `path`, in file order.
+std::vector<std::string> wal_records(const std::string& path) {
+  std::vector<std::string> records;
+  io::Wal wal(path, io::WalOptions{}, &records);
+  return records;
+}
+
+RuleSpec fib_rule(BoxId box, const char* prefix, std::int32_t priority) {
+  RuleSpec spec;
+  spec.box = box;
+  spec.rule.dst = parse_prefix(prefix);
+  spec.rule.egress_port = 0;
+  spec.rule.priority = priority;
+  return spec;
+}
 
 TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
   ClusterWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(3));
-  ASSERT_EQ(cluster.shard_count(), 3u);
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   EXPECT_EQ(cluster.epoch(), 0u);
 
   std::vector<ShardedCluster::BatchItem> items;
@@ -291,37 +337,53 @@ TEST(ShardedCluster, MixedBatchMatchesSingleClassifier) {
     EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
 }
 
+TEST(ShardedCluster, OnlyOneShardIsAccepted) {
+  ClusterWorld w;
+  auto opts = w.cluster_options();
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+    opts.shards = shards;
+    try {
+      ShardedCluster cluster(w.data.net, opts);
+      FAIL() << "shards=" << shards << " must be refused";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+    }
+  }
+  ShardedCluster cluster(w.data.net, w.cluster_options());
+  EXPECT_NE(cluster.shard(0), nullptr);
+  try {
+    (void)cluster.shard(1);
+    FAIL() << "shard(1) must be refused";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
 TEST(ShardedCluster, EpochAdvancesOnceEveryShardPublishes) {
   ClusterWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
-  RuleSpec spec;
-  spec.box = 0;
-  spec.rule.dst = parse_prefix("10.77.0.0/16");
-  spec.rule.egress_port = 0;
-  spec.rule.priority = 90;
+  ShardedCluster cluster(w.data.net, w.cluster_options());
+  const RuleSpec spec = fib_rule(0, "10.77.0.0/16", 90);
 
   EXPECT_EQ(cluster.add_rule(spec), 1u);
   EXPECT_EQ(cluster.epoch(), 1u);
-  for (std::size_t s = 0; s < cluster.shard_count(); ++s)
-    EXPECT_EQ(cluster.shard(s)->snapshot_epoch(), 1u) << "shard " << s;
+  EXPECT_EQ(cluster.shard(0)->snapshot_epoch(), 1u);
   EXPECT_EQ(cluster.remove_rule(spec), 2u);
   EXPECT_EQ(cluster.epoch(), 2u);
   EXPECT_EQ(cluster.updates_applied(), 2u);
 
-  const auto view = cluster.pin();
-  EXPECT_EQ(view.epoch, 2u);
-  ASSERT_EQ(view.snaps.size(), 2u);
-  for (const auto& s : view.snaps) ASSERT_NE(s, nullptr);
+  // pin() hands out the published snapshot together with its epoch.
+  const auto pinned = cluster.pin();
+  EXPECT_EQ(pinned.epoch, 2u);
+  EXPECT_EQ(pinned.snapshot, cluster.shard(0)->snapshot());
 }
 
 // The epoch-consistency differential: while one thread toggles a rule that
-// changes a probe packet's behavior from TWO ingress boxes living on
-// DIFFERENT shards, every batch must answer both probes from the same
-// network-wide epoch — the pair (with, without) would mean shard 0 served
-// the new epoch while shard 1 served the old one.
+// changes a probe packet's behavior from TWO ingress boxes, every reply line
+// must equal the reference classifier's answer at the epoch that reply
+// reports — not merely agree with its partner line.
 TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   ClusterWorld w;
-  const BoxId ingress_a = 0, ingress_b = 1;  // shards 0 and 1 of 2
+  const BoxId ingress_a = 0, ingress_b = 1;
   // Pick a probe the network delivers from BOTH ingresses, so the redirect
   // below perturbs both answers.
   PacketHeader probe = w.trace[0];
@@ -351,18 +413,7 @@ TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   spec.rule.egress_port = other_port;
   spec.rule.priority = 1000;
 
-  // Expected answer pairs per epoch parity, from a forked reference.
-  const std::string without_a = format_behavior_summary(base_a);
-  const std::string without_b =
-      format_behavior_summary(w.reference.query(probe, ingress_b));
-  auto fork = w.reference.fork();
-  fork->insert_fib_rule(spec.box, spec.rule);
-  const std::string with_a = format_behavior_summary(fork->query(probe, ingress_a));
-  const std::string with_b = format_behavior_summary(fork->query(probe, ingress_b));
-  ASSERT_NE(with_a, without_a) << "redirect must perturb ingress A";
-  ASSERT_NE(with_b, without_b) << "redirect must perturb ingress B";
-
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
+  // The batch: both probes first, then background queries across ingresses.
   std::vector<ShardedCluster::BatchItem> batch(2);
   batch[0].is_query = true;
   batch[0].header = probe;
@@ -370,20 +421,37 @@ TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   batch[1].is_query = true;
   batch[1].header = probe;
   batch[1].ingress = ingress_b;
+  for (const auto& q : w.query_items(30)) batch.push_back(q);
 
+  // Reference answers at every epoch: a fork replays the same toggles.
   constexpr int kToggles = 6;
+  std::vector<std::vector<std::string>> want;
+  auto fork = w.reference.fork();
+  want.push_back(expected_answers(*fork, batch));
+  for (int k = 1; k <= kToggles; ++k) {
+    if (k % 2 == 1)
+      fork->insert_fib_rule(spec.box, spec.rule);
+    else
+      fork->remove_fib_rule(spec.box, spec.rule);
+    want.push_back(expected_answers(*fork, batch));
+  }
+  ASSERT_NE(want[1][0], want[0][0]) << "redirect must perturb ingress A";
+  ASSERT_NE(want[1][1], want[0][1]) << "redirect must perturb ingress B";
+
+  ShardedCluster cluster(w.data.net, w.cluster_options());
   std::atomic<bool> done{false};
-  std::atomic<int> mixed{0};
+  std::atomic<int> wrong{0}, regressed{0}, batches{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
+      std::uint64_t last = 0;
       while (!done.load(std::memory_order_acquire)) {
         const auto res = cluster.run_batch(batch);
-        const bool rule_live = res.epoch % 2 == 1;
-        const std::string& want_a = rule_live ? with_a : without_a;
-        const std::string& want_b = rule_live ? with_b : without_b;
-        if (res.lines[0] != want_a || res.lines[1] != want_b)
-          mixed.fetch_add(1, std::memory_order_relaxed);
+        batches.fetch_add(1, std::memory_order_relaxed);
+        if (res.epoch < last) regressed.fetch_add(1, std::memory_order_relaxed);
+        last = res.epoch;
+        if (res.epoch >= want.size() || res.lines != want[res.epoch])
+          wrong.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -395,28 +463,19 @@ TEST(ShardedCluster, ConcurrentUpdatesNeverMixEpochsAcrossShards) {
   }
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
-  EXPECT_EQ(mixed.load(), 0) << "cross-shard mixed-epoch batch observed";
+  EXPECT_GT(batches.load(), 0);
+  EXPECT_EQ(wrong.load(), 0) << "a reply differed from the reference at its epoch";
+  EXPECT_EQ(regressed.load(), 0) << "a reader saw the epoch go backwards";
   EXPECT_EQ(cluster.epoch(), static_cast<std::uint64_t>(kToggles));
 }
 
 TEST(ShardedCluster, WalRecoveryRestoresUpdatesAcrossShards) {
   ClusterWorld w;
-  const std::string dir = ::testing::TempDir() + "apc_cluster_wal";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = fresh_dir("apc_cluster_wal");
+  const RuleSpec r1 = fib_rule(0, "10.50.0.0/16", 70);
+  const RuleSpec r2 = fib_rule(1, "10.60.0.0/16", 71);
 
-  RuleSpec r1;
-  r1.box = 0;
-  r1.rule.dst = parse_prefix("10.50.0.0/16");
-  r1.rule.egress_port = 0;
-  r1.rule.priority = 70;
-  RuleSpec r2;  // owner shard 1 — exercises the cross-file seq merge
-  r2.box = 1;
-  r2.rule.dst = parse_prefix("10.60.0.0/16");
-  r2.rule.egress_port = 0;
-  r2.rule.priority = 71;
-
-  auto opts = w.cluster_options(2);
+  auto opts = w.cluster_options();
   opts.wal_dir = dir;
   {
     ShardedCluster cluster(w.data.net, opts);
@@ -425,9 +484,18 @@ TEST(ShardedCluster, WalRecoveryRestoresUpdatesAcrossShards) {
     cluster.add_rule(r1);     // same rule again: journal order must hold
     cluster.remove_rule(r1);  // ...because remove pops one instance
   }
+  // One log, in the record format "<seq> <A|R> fib <box> <prefix> <port> <prio>".
+  EXPECT_EQ(wal_records(dir + "/shard0.wal"),
+            (std::vector<std::string>{"1 A fib 0 10.50.0.0/16 0 70",
+                                      "2 A fib 1 10.60.0.0/16 0 71",
+                                      "3 A fib 0 10.50.0.0/16 0 70",
+                                      "4 R fib 0 10.50.0.0/16 0 70"}));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
 
-  // Recovery replays the merged journal before the first publish: epoch
-  // restarts at 0 but the rules are back.
+  // Recovery replays the journal before the first publish: epoch restarts
+  // at 0 but the rules are back.
   ShardedCluster recovered(w.data.net, opts);
   EXPECT_EQ(recovered.epoch(), 0u);
   EXPECT_EQ(recovered.updates_applied(), 4u);
@@ -435,47 +503,146 @@ TEST(ShardedCluster, WalRecoveryRestoresUpdatesAcrossShards) {
   auto fork = w.reference.fork();
   fork->insert_fib_rule(r1.box, r1.rule);
   fork->insert_fib_rule(r2.box, r2.rule);
-
-  std::vector<ShardedCluster::BatchItem> items;
-  std::vector<std::string> expected;
-  for (std::size_t i = 0; i < 24; ++i) {
-    ShardedCluster::BatchItem q;
-    q.is_query = true;
-    q.header = w.trace[i];
-    q.ingress = static_cast<BoxId>(i % w.data.net.topology.box_count());
-    items.push_back(q);
-    expected.push_back(format_behavior_summary(fork->query(q.header, q.ingress)));
-  }
-  const auto res = recovered.run_batch(items);
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(res.lines[i], expected[i]) << "item " << i;
+  const auto items = w.query_items(24);
+  EXPECT_EQ(recovered.run_batch(items).lines, expected_answers(*fork, items));
   std::filesystem::remove_all(dir);
+}
+
+// A log written by the replicated layout's shard 0 (the same file name and
+// record format) replays in file order, and new records continue after the
+// highest sequence number, gaps included.
+TEST(ShardedCluster, WalFromOneShardLayoutReplaysByteCompatible) {
+  ClusterWorld w;
+  const std::string dir = fresh_dir("apc_cluster_wal_compat");
+  {
+    io::Wal wal(dir + "/shard0.wal", io::WalOptions{});
+    wal.append("3 A fib 0 10.50.0.0/16 0 70");
+    wal.append("7 A fib 1 10.60.0.0/16 0 71");
+    wal.append("9 R fib 0 10.50.0.0/16 0 70");
+  }
+  auto opts = w.cluster_options();
+  opts.wal_dir = dir;
+  {
+    ShardedCluster cluster(w.data.net, opts);
+    EXPECT_EQ(cluster.updates_applied(), 3u);
+    auto fork = w.reference.fork();
+    fork->insert_fib_rule(1, fib_rule(1, "10.60.0.0/16", 71).rule);
+    const auto items = w.query_items(24);
+    EXPECT_EQ(cluster.run_batch(items).lines, expected_answers(*fork, items));
+    EXPECT_EQ(cluster.add_rule(fib_rule(2, "10.70.0.0/16", 72)), 1u);
+  }
+  const auto records = wal_records(dir + "/shard0.wal");
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records.back(), "10 A fib 2 10.70.0.0/16 0 72");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedCluster, WalFromReplicatedLayoutIsRefused) {
+  ClusterWorld w;
+  const std::string dir = fresh_dir("apc_cluster_wal_replicas");
+  {
+    io::Wal wal0(dir + "/shard0.wal", io::WalOptions{});
+    wal0.append("1 A fib 0 10.50.0.0/16 0 70");
+    io::Wal wal2(dir + "/shard2.wal", io::WalOptions{});
+    wal2.append("2 A fib 2 10.60.0.0/16 0 71");
+  }
+  auto opts = w.cluster_options();
+  opts.wal_dir = dir;
+  try {
+    ShardedCluster cluster(w.data.net, opts);
+    FAIL() << "a directory holding shard2.wal must be refused";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+    EXPECT_NE(std::string(e.what()).find("shard2.wal"), std::string::npos) << e.what();
+  }
+  // Nothing was dropped or rewritten: both logs still hold their record.
+  EXPECT_EQ(wal_records(dir + "/shard0.wal").size(), 1u);
+  EXPECT_EQ(wal_records(dir + "/shard2.wal").size(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+// An update the classifier would refuse is rejected before it reaches the
+// log, so it can neither flip the cluster read-only nor poison a replay.
+TEST(ShardedCluster, InvalidUpdateIsRefusedBeforeJournaling) {
+  ClusterWorld w;
+  const std::string dir = fresh_dir("apc_cluster_wal_invalid");
+  auto opts = w.cluster_options();
+  opts.wal_dir = dir;
+  {
+    ShardedCluster cluster(w.data.net, opts);
+    RuleSpec bad_box = fib_rule(static_cast<BoxId>(w.data.net.topology.box_count()),
+                                "10.50.0.0/16", 70);
+    RuleSpec bad_port = fib_rule(0, "10.50.0.0/16", 70);
+    bad_port.rule.egress_port = 1u << 20;
+    const RuleSpec absent = fib_rule(0, "10.51.0.0/16", 70);
+    for (const auto& [add, spec] : {std::pair{true, bad_box}, std::pair{true, bad_port},
+                                    std::pair{false, absent}}) {
+      try {
+        add ? cluster.add_rule(spec) : cluster.remove_rule(spec);
+        FAIL() << format_rule(add, spec) << " must be refused";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+      }
+    }
+    EXPECT_FALSE(cluster.read_only());
+    EXPECT_EQ(cluster.epoch(), 0u);
+    EXPECT_EQ(cluster.add_rule(fib_rule(0, "10.52.0.0/16", 70)), 1u);
+  }
+  EXPECT_EQ(wal_records(dir + "/shard0.wal"),
+            (std::vector<std::string>{"1 A fib 0 10.52.0.0/16 0 70"}));
+  std::filesystem::remove_all(dir);
+}
+
+// A shed batch fails for that batch only: the engine is neither replaced
+// nor taken out of service, however many batches in a row are shed.
+TEST(ShardedCluster, ShedBatchesLeaveTheEngineInPlace) {
+  ClusterWorld w;
+  auto opts = w.cluster_options();
+  opts.engine.max_pending_batches = 1;
+  ShardedCluster cluster(w.data.net, opts);
+  ASSERT_EQ(cluster.add_rule(fib_rule(0, "10.77.0.0/16", 90)), 1u);
+  const engine::QueryEngine* const before = cluster.shard(0).get();
+  const auto items = w.query_items(8);
+  {
+    const engine::QueryEngine::BatchTicket ticket(*cluster.shard(0));
+    ASSERT_TRUE(ticket);
+    for (int i = 0; i < 10; ++i) {
+      try {
+        (void)cluster.run_batch(items);
+        FAIL() << "batch " << i << " must be shed while the slot is held";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kUnavailable) << e.what();
+      }
+    }
+  }
+  const auto res = cluster.run_batch(items);
+  EXPECT_EQ(res.epoch, 1u);
+  EXPECT_EQ(res.lines.size(), items.size());
+  EXPECT_EQ(cluster.shard(0).get(), before);
+  EXPECT_EQ(cluster.shard(0)->batches_rejected().value(), 10u);
 }
 
 TEST(ShardedCluster, IdleShardStatsReportZeroPercentiles) {
   ClusterWorld w;
-  ShardedCluster cluster(w.data.net, w.cluster_options(2));
-  // Route every query to shard 0 (even ingress); shard 1 stays idle.
-  std::vector<ShardedCluster::BatchItem> items(4);
-  for (auto& it : items) {
-    it.is_query = true;
-    it.header = w.trace[0];
-    it.ingress = 0;
+  ShardedCluster cluster(w.data.net, w.cluster_options());
+  {
+    // No batch yet: the latency rows read 0, they do not throw.
+    const obs::MetricsSnapshot stats = cluster.stats();
+    const auto* idle_p99 = stats.find("cluster.batch_us.p99");
+    const auto* idle_count = stats.find("cluster.batch_us.count");
+    ASSERT_NE(idle_p99, nullptr);
+    ASSERT_NE(idle_count, nullptr);
+    EXPECT_EQ(idle_count->value, 0.0);
+    EXPECT_EQ(idle_p99->value, 0.0) << "an idle cluster must report 0, not throw";
   }
-  (void)cluster.run_batch(items);
-
-  const obs::MetricsSnapshot stats = cluster.stats();  // must not throw
-  const auto* busy = stats.find("shard0.batch_us.count");
-  const auto* idle_p99 = stats.find("shard1.batch_us.p99");
-  const auto* idle_count = stats.find("shard1.batch_us.count");
+  (void)cluster.run_batch(w.query_items(4));
+  const obs::MetricsSnapshot stats = cluster.stats();
+  const auto* busy = stats.find("cluster.batch_us.count");
   ASSERT_NE(busy, nullptr);
-  ASSERT_NE(idle_p99, nullptr);
-  ASSERT_NE(idle_count, nullptr);
-  EXPECT_GT(busy->value, 0.0);
-  EXPECT_EQ(idle_count->value, 0.0);
-  EXPECT_EQ(idle_p99->value, 0.0) << "idle shard must report 0, not throw";
+  EXPECT_EQ(busy->value, 1.0);
   ASSERT_NE(stats.find("cluster.epoch"), nullptr);
-  ASSERT_NE(stats.find("shard1.engine.snapshot_epoch"), nullptr);
+  ASSERT_NE(stats.find("cluster.read_only"), nullptr);
+  ASSERT_NE(stats.find("engine.snapshot_epoch"), nullptr);
 }
 
 // ---------------------------------------------------------------- tcp front
@@ -553,7 +720,7 @@ struct ServerWorld : ClusterWorld {
 
   ServerWorld()
       : ClusterWorld(7),
-        cluster(data.net, cluster_options(2)),
+        cluster(data.net, cluster_options()),
         server(cluster, TcpServer::Options{}) {}
 };
 

@@ -1,4 +1,4 @@
-#include "server/chaos_proxy.hpp"
+#include "support/chaos_proxy.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>

@@ -22,7 +22,8 @@
 //                    both ends observe a hard RST mid-stream.
 //
 // The proxy is a test fixture: correctness over throughput, one thread per
-// connection, loopback only.
+// connection, loopback only.  It lives in the apc_test_support library that
+// the tests and bench/serve_chaos link, not in the production library.
 #pragma once
 
 #include <atomic>
